@@ -66,22 +66,7 @@ def check_realizability_law() -> CriterionResult:
 def check_horrocks_agreement() -> CriterionResult:
     """Horrocks sum equals the plain group sum wherever both are defined."""
     t0 = time.perf_counter()
-    cases = 0
-    ok = True
-    for c1 in range(0, -41, -2):
-        classes = [
-            rank2.Rank2BundleClass(c1, c2, a)
-            for c2 in range(-10, 11)
-            for a in (0, 1)
-        ]
-        for v in classes:
-            for w in classes:
-                cases += 1
-                if not rank2.agreement_check(v, w):
-                    ok = False
-    rule_ok = all(
-        rank2.epsilon(-2 * n) == (1 if n % 4 == 2 else 0) for n in range(21)
-    )
+    cases, ok, rule_ok = rank2.agreement_sweep(-40, 10)
     details = f"{cases} pairs across c1 = 0, -2, ..., -40; epsilon rule for n = 0..20"
     return _result("horrocks-agreement", t0, 1.0, ok and rule_ok, details)
 

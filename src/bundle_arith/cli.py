@@ -209,25 +209,8 @@ def _cmd_horrocks(args):
 
 
 def _cmd_agree(args):
-    if args.c1_min > 0 or args.c1_min % 2:
-        raise DomainError("--c1-min must be a non-positive even integer")
-    cases = 0
-    all_agree = True
-    for c1 in range(0, args.c1_min - 1, -2):
-        classes = [
-            rank2.Rank2BundleClass(c1, c2, a)
-            for c2 in range(-args.c2_bound, args.c2_bound + 1)
-            for a in (0, 1)
-        ]
-        for v in classes:
-            for w in classes:
-                cases += 1
-                if not rank2.agreement_check(v, w):
-                    all_agree = False
+    cases, all_agree, rule = rank2.agreement_sweep(args.c1_min, args.c2_bound)
     n_max = -args.c1_min // 2
-    rule = all(
-        rank2.epsilon(-2 * n) == (1 if n % 4 == 2 else 0) for n in range(n_max + 1)
-    )
     payload = {
         "c1_min": args.c1_min,
         "c2_bound": args.c2_bound,
@@ -293,7 +276,7 @@ def _group_notes(g: rank3.GroupDescriptorV0) -> list[str]:
         f"kernel of c3 is {g.kernel_kind} "
         f"(base mod 3 = ({g.base_c1 % 3}, {g.base_c2 % 3}))",
         f"feasible c3 lattice over ({g.base_c1}, {g.base_c2}) is "
-        f"{g.c3_generator}Z (scan verified)",
+        f"{g.c3_generator}Z (closed form)",
     ]
 
 
@@ -580,3 +563,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

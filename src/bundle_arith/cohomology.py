@@ -24,7 +24,6 @@ from .errors import ConsistencyError, DomainError
 __all__ = [
     "TruncatedSeries",
     "ChernVector",
-    "series_mul",
     "split_chern_vector",
     "chern_character",
     "todd_class",
@@ -136,13 +135,6 @@ class TruncatedSeries:
                     acc += self.coeffs[i] * out[k - i]
             out[k] = -inv0 * acc
         return TruncatedSeries(self.cap, tuple(out))
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Exact Cauchy product of two series sharing the same cap."""
-    if not isinstance(a, TruncatedSeries) or not isinstance(b, TruncatedSeries):
-        raise DomainError("series_mul expects two TruncatedSeries values")
-    return a * b
 
 
 @dataclass(frozen=True)
@@ -265,34 +257,30 @@ def is_feasible(v: ChernVector) -> bool:
 def feasible_c3_lattice(c1: int, c2: int, scan: int) -> int:
     """Spacing d of the feasible c3 values over (c1, c2) for rank 3 on CP^5.
 
-    Requires the identity data (c1, c2, 0) to be feasible.  Scans
-    |c3| <= scan, returns the gcd d of the feasible values found, and
-    insists the feasible set inside the box is exactly dZ restricted to
-    it; any other pattern raises :class:`ConsistencyError` rather than
-    guessing, since index computations downstream depend on the lattice
-    structure.
+    Requires the identity data (c1, c2, 0) to be feasible.  On CP^5 the
+    power sums p_1..p_5 are affine in c3 (c3^2 first enters p_6), so
+    chi(c1, c2, c3; t) = chi(c1, c2, 0; t) + c3 * s(t) with
+    s(t) = chi(c1, c2, 1; t) - chi(c1, c2, 0; t).  Over a feasible base
+    the feasible c3 are therefore exactly dZ, d the lcm of the
+    denominators of s(0..5).  ``scan`` caps d: a spacing larger than
+    ``scan`` means the window |c3| <= scan holds no nonzero feasible
+    value, and raises :class:`ConsistencyError`.
     """
     if not isinstance(scan, int) or scan < 1:
         raise DomainError(f"scan bound must be a positive integer, got {scan!r}")
-    if not is_feasible(ChernVector(3, 5, (c1, c2, 0))):
+    base = ChernVector(3, 5, (c1, c2, 0))
+    if not is_feasible(base):
         raise DomainError(
             f"identity Chern data ({c1}, {c2}, 0) is not feasible on CP^5"
         )
-    box = range(-scan, scan + 1)
-    feasible = [k for k in box if is_feasible(ChernVector(3, 5, (c1, c2, k)))]
-    nonzero = [k for k in feasible if k]
-    if not nonzero:
+    unit = ChernVector(3, 5, (c1, c2, 1))
+    d = 1
+    for t in range(6):
+        step = euler_characteristic(unit, t) - euler_characteristic(base, t)
+        d = math.lcm(d, step.denominator)
+    if d > scan:
         raise ConsistencyError(
             f"only c3 = 0 is feasible for ({c1}, {c2}) within |c3| <= {scan}; "
             "the scan window is too small to see the lattice"
-        )
-    d = 0
-    for k in nonzero:
-        d = math.gcd(d, k)
-    expected = [k for k in box if k % d == 0]
-    if feasible != expected:
-        raise ConsistencyError(
-            f"feasible c3 values for ({c1}, {c2}) within |c3| <= {scan} are "
-            f"{feasible}, not {d}Z restricted to the box"
         )
     return d

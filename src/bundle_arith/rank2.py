@@ -45,6 +45,7 @@ __all__ = [
     "add_shifted",
     "horrocks_sum",
     "agreement_check",
+    "agreement_sweep",
     "tensor_line",
     "count_classes",
     "realizable_classes",
@@ -247,6 +248,39 @@ def agreement_check(v: Rank2BundleClass, w: Rank2BundleClass) -> bool:
                 f"class comparison and epsilon reduction disagree at c1 = {v.c1}"
             )
     return direct
+
+
+def agreement_sweep(c1_min: int, c2_bound: int) -> tuple[int, bool, bool]:
+    """Check every pair of classes with c1 = 0, -2, ..., c1_min and |c2| <= c2_bound.
+
+    Returns ``(cases, all_agree, epsilon_rule_verified)``: the number of
+    pairs compared by :func:`agreement_check`, whether all of them
+    agree, and whether epsilon(-2n) = [n = 2 (mod 4)] holds for
+    n = 0..-c1_min/2.  A positive or odd ``c1_min`` or a negative
+    ``c2_bound`` raises :class:`DomainError`: the sweep would be empty
+    or stop short of ``c1_min``.
+    """
+    if c1_min > 0 or c1_min % 2:
+        raise DomainError(f"c1_min must be a non-positive even integer, got {c1_min}")
+    if c2_bound < 0:
+        raise DomainError(f"c2_bound must be a non-negative integer, got {c2_bound}")
+    cases = 0
+    all_agree = True
+    for c1 in range(0, c1_min - 1, -2):
+        classes = [
+            Rank2BundleClass(c1, c2, a)
+            for c2 in range(-c2_bound, c2_bound + 1)
+            for a in (0, 1)
+        ]
+        for v in classes:
+            for w in classes:
+                cases += 1
+                if not agreement_check(v, w):
+                    all_agree = False
+    rule = all(
+        epsilon(-2 * n) == (1 if n % 4 == 2 else 0) for n in range(-c1_min // 2 + 1)
+    )
+    return cases, all_agree, rule
 
 
 def tensor_line(v: Rank2BundleClass, k: int) -> Rank2BundleClass:

@@ -5,11 +5,11 @@ integrality predicate of :mod:`bundle_arith.cohomology`.  The known Z/3
 refinement of the classification is deliberately not modeled: classes
 carry an explicit "untracked" marker instead of a value, and the one
 place it could matter (subgroup indices over a base with Z/3 kernel)
-uses a Smith-normal-form determinant that is independent of it.
+uses a presentation determinant that is independent of it.
 
 The group over a base (c1, c2) fixes the first two Chern classes and
 adds on c3.  The module also decides split realizability by exact
-integer factorization of the characteristic cubic, finds non-split
+integer root isolation of the characteristic cubic, finds non-split
 multiples, and produces the prime witness showing subgroups generated
 by split classes contain non-split members.
 """
@@ -35,7 +35,6 @@ __all__ = [
     "iterate",
     "smallest_nonsplit_multiple",
     "prime_witness",
-    "smith_normal_form",
     "subgroup_index",
 ]
 
@@ -72,55 +71,53 @@ def split_rank3(x: int, y: int, z: int) -> Rank3BundleClass:
     return Rank3BundleClass(x + y + z, x * y + y * z + z * x, x * y * z)
 
 
-def _divisors(n: int) -> list[int]:
-    """All positive divisors of |n|, n != 0, ascending."""
-    n = abs(n)
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i * i != n:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
-
-
 def is_split_realizable(c1: int, c2: int, c3: int) -> tuple[int, int, int] | None:
     """Twists (x, y, z) with these symmetric functions, or None.
 
-    The triple exists exactly when t^3 - c1 t^2 + c2 t - c3 has three
-    integer roots.  Integer roots of the monic cubic divide c3 (with 0
-    forced as a root when c3 = 0), and once one root is found the
-    remaining quadratic factors over Z iff its discriminant is a perfect
-    square.  Returned triples are sorted in descending order.
+    The triple exists exactly when f(t) = t^3 - c1 t^2 + c2 t - c3 has
+    three integer roots.  With D = c1^2 - 3 c2 < 0 the derivative has no
+    real zero, f is strictly increasing and has one real root only.
+    Otherwise the largest root lies where f increases, at or right of
+    the larger critical point (c1 + sqrt(D)) / 3, and is found by
+    bisection on the integers there; once it is found the remaining
+    quadratic factors over Z iff its discriminant is a perfect square.
+    The work is O(log(|c1| + |c2| + |c3|)) evaluations of f.  Returned
+    triples are sorted in descending order.
     """
 
     def value(t: int) -> int:
         return ((t - c1) * t + c2) * t - c3
 
-    if c3 == 0:
-        candidates: list[int] = [0]
-    else:
-        candidates = []
-        for d in _divisors(c3):
-            candidates.extend((d, -d))
-        candidates.sort(key=abs)
-    for r in candidates:
-        if value(r):
-            continue
-        # cubic = (t - r)(t^2 + p t + q)
-        p = r - c1
-        q = c2 + r * p
-        disc = p * p - 4 * q
-        if disc < 0:
-            continue
-        s = math.isqrt(disc)
-        if s * s != disc:
-            continue
-        roots = sorted((r, (-p + s) // 2, (-p - s) // 2), reverse=True)
-        return (roots[0], roots[1], roots[2])
-    return None
+    d = c1 * c1 - 3 * c2
+    if d < 0:
+        return None
+    root_d = math.isqrt(d)
+    if root_d * root_d != d:
+        root_d += 1
+    # smallest integer at or right of the larger critical point
+    lo = -(-(c1 + root_d) // 3)
+    # every root has |t| < 1 + max |coefficient|, so value(hi) > 0
+    hi = max(lo, 1 + max(abs(c1), abs(c2), abs(c3)))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if value(mid) >= 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    r = lo
+    if value(r):
+        return None
+    # cubic = (t - r)(t^2 + p t + q)
+    p = r - c1
+    q = c2 + r * p
+    disc = p * p - 4 * q
+    if disc < 0:
+        return None
+    s = math.isqrt(disc)
+    if s * s != disc:
+        return None
+    roots = sorted((r, (-p + s) // 2, (-p - s) // 2), reverse=True)
+    return (roots[0], roots[1], roots[2])
 
 
 @dataclass(frozen=True)
@@ -219,25 +216,47 @@ def smallest_nonsplit_multiple(
     return None
 
 
-def _next_prime(n: int) -> int:
-    """Smallest prime strictly greater than n."""
+# The first 13 primes.  Miller-Rabin with these bases has no strong
+# pseudoprime below _PRIMALITY_BOUND (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017); the bound
+# itself is the least one.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIMALITY_BOUND = 3317044064679887385961981
 
-    def is_prime(m: int) -> bool:
-        if m < 2:
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < _PRIMALITY_BOUND."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        if m % 2 == 0:
-            return m == 2
-        i = 3
-        while i * i <= m:
-            if m % i == 0:
-                return False
-            i += 2
-        return True
+    return True
 
-    candidate = n + 1
-    while not is_prime(candidate):
-        candidate += 1
-    return candidate
+
+def _next_prime(n: int) -> int:
+    """Smallest prime strictly greater than n, if it is below _PRIMALITY_BOUND."""
+    for candidate in range(n + 1, _PRIMALITY_BOUND):
+        if _is_prime(candidate):
+            return candidate
+    raise DomainError(
+        f"no prime above {n} can be certified: primality is proven "
+        f"only below {_PRIMALITY_BOUND}"
+    )
 
 
 def prime_witness(g: GroupDescriptorV0, w: Rank3BundleClass) -> tuple[int, bool]:
@@ -248,6 +267,8 @@ def prime_witness(g: GroupDescriptorV0, w: Rank3BundleClass) -> tuple[int, bool]
     bundles (any factorization would force a root divisible by p, making
     the root sum too large), so ``verified`` is expected to be True; a
     False would contradict that argument and is reported, not hidden.
+    Raises :class:`DomainError` when p would reach the bound below which
+    primality is proven.
     """
     _require_member(g, w)
     if w.c3 == 0:
@@ -257,85 +278,13 @@ def prime_witness(g: GroupDescriptorV0, w: Rank3BundleClass) -> tuple[int, bool]
     return p, is_split_realizable(m.c1, m.c2, m.c3) is None
 
 
-def smith_normal_form(matrix) -> list[int]:
-    """Invariant factors d1 | d2 | ... of an integer matrix.
-
-    Plain lists of lists, arbitrary-precision entries.  Row and column
-    operations are unimodular, so for a square nonsingular input the
-    product of the invariants equals |det|.  Zeros pad the tail when the
-    rank falls short of min(rows, cols).
-    """
-    if not matrix or not all(isinstance(row, (list, tuple)) for row in matrix):
-        raise DomainError("matrix must be a non-empty sequence of rows")
-    m = len(matrix)
-    n = len(matrix[0])
-    if n == 0 or any(len(row) != n for row in matrix):
-        raise DomainError("matrix rows must be non-empty and of equal length")
-    a = [list(row) for row in matrix]
-    if not all(isinstance(x, int) for row in a for x in row):
-        raise DomainError("matrix entries must be integers")
-
-    invariants: list[int] = []
-    t = 0
-    size = min(m, n)
-    while t < size:
-        # pivot: smallest nonzero |entry| of the trailing submatrix
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        a[t], a[i0] = a[i0], a[t]
-        for row in a:
-            row[t], row[j0] = row[j0], row[t]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-
-        dirty = False
-        for i in range(t + 1, m):
-            if a[i][t]:
-                q, r = divmod(a[i][t], a[t][t])
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                if r:
-                    dirty = True
-        for j in range(t + 1, n):
-            if a[t][j]:
-                q, r = divmod(a[t][j], a[t][t])
-                for row in a:
-                    row[j] -= q * row[t]
-                if r:
-                    dirty = True
-        if dirty:
-            continue  # smaller remainders appeared; reselect the pivot
-        # divisibility: fold in any entry the pivot does not divide
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            continue
-        invariants.append(a[t][t])
-        t += 1
-    invariants.extend([0] * (size - len(invariants)))
-    return invariants
-
-
 def subgroup_index(g: GroupDescriptorV0, w: Rank3BundleClass):
     """Index of the subgroup generated by w; math.inf when c3(w) = 0.
 
     With k = c3(w) / c3_generator, a trivial kernel gives |k| directly.
     A Z/3 kernel gives the cokernel order of the presentation
-    [[k, r], [0, 3]], whose Smith-form determinant 3|k| is independent
-    of the unknown coordinate r; independence is verified over all
-    residues rather than assumed.
+    [[k, r], [0, 3]], which is |det| = 3|k| whatever the untracked
+    coordinate r.
     """
     _require_member(g, w)
     if w.c3 == 0:
@@ -348,12 +297,4 @@ def subgroup_index(g: GroupDescriptorV0, w: Rank3BundleClass):
         )
     if g.kernel_kind == KERNEL_TRIVIAL:
         return abs(k)
-    indices = {
-        math.prod(smith_normal_form([[k, r], [0, 3]])) for r in (0, 1, 2)
-    }
-    if len(indices) != 1:
-        raise ConsistencyError(
-            "subgroup index depends on the untracked coordinate; "
-            f"got {sorted(indices)}"
-        )
-    return indices.pop()
+    return 3 * abs(k)

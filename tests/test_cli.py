@@ -1,9 +1,14 @@
 """Tests for the command-line interface and its machine-readable output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bundle_arith
 from bundle_arith.cli import (
     EXIT_CONSISTENCY,
     EXIT_DOMAIN,
@@ -104,6 +109,13 @@ class TestBasicCommands:
         assert code == EXIT_OK
         assert doc["payload"]["all_agree"] is True
         assert doc["payload"]["epsilon_rule_verified"] is True
+
+    def test_agree_empty_sweep_is_domain_error(self, capsys):
+        code, doc = run_json(capsys, "agree", "--c2-bound", "-5")
+        assert code == EXIT_DOMAIN
+        assert doc["status"] == "domain_error"
+        code, doc = run_json(capsys, "agree", "--c1-min", "-3")
+        assert code == EXIT_DOMAIN
 
 
 class TestRank3Commands:
@@ -263,3 +275,26 @@ class TestOutputContract:
         _, first = run_json(capsys, "report", "--only", "alpha-case-table")
         _, second = run_json(capsys, "report", "--only", "alpha-case-table")
         assert first["payload"] == second["payload"]
+
+    def test_module_entry_point(self, capsys):
+        argv = ["--json", "feasible", "2", "3", "1", "2"]
+        _, expected = run_cli(capsys, *argv)
+        src = str(Path(bundle_arith.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "bundle_arith.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout == expected
+
+
+# --json output of the README examples and edge cases, byte for byte
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text("utf-8"))
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["argv"] for case in GOLDEN])
+def test_golden_json(capsys, case):
+    code, out = run_cli(capsys, "--json", *case["argv"].split())
+    assert code == case["exit"]
+    assert out == case["stdout"]

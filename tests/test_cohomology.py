@@ -13,7 +13,6 @@ from bundle_arith.cohomology import (
     euler_characteristic,
     feasible_c3_lattice,
     is_feasible,
-    series_mul,
     split_chern_vector,
     todd_class,
 )
@@ -27,20 +26,20 @@ def series(cap, *coeffs):
 
 class TestSeries:
     def test_difference_of_squares(self):
-        product = series_mul(series(3, 1, 1), series(3, 1, -1))
+        product = series(3, 1, 1) * series(3, 1, -1)
         assert product == series(3, 1, 0, -1)
 
     def test_one_is_neutral(self):
         s = series(4, 3, Fraction(1, 2), 0, -7, 2)
-        assert series_mul(s, TruncatedSeries.constant(4)) == s
+        assert s * TruncatedSeries.constant(4) == s
 
     def test_truncation_drops_high_degrees(self):
-        product = series_mul(series(2, 1, 1, 1), series(2, 1, 1))
+        product = series(2, 1, 1, 1) * series(2, 1, 1)
         assert product == series(2, 1, 2, 2)
 
     def test_cap_mismatch_rejected(self):
         with pytest.raises(DomainError):
-            series_mul(series(2, 1), series(3, 1))
+            series(2, 1) * series(3, 1)
 
     def test_float_coefficients_rejected(self):
         with pytest.raises(DomainError):
@@ -48,7 +47,7 @@ class TestSeries:
 
     def test_inverse_roundtrip(self):
         s = series(5, 1, 2, Fraction(-1, 3), 0, 4, 1)
-        assert series_mul(s, s.inverse()) == TruncatedSeries.constant(5)
+        assert s * s.inverse() == TruncatedSeries.constant(5)
 
     def test_inverse_needs_unit(self):
         with pytest.raises(DomainError):
@@ -57,7 +56,7 @@ class TestSeries:
     def test_exponential_sums_exponents(self):
         a = TruncatedSeries.exponential(6, 2)
         b = TruncatedSeries.exponential(6, 3)
-        assert series_mul(a, b) == TruncatedSeries.exponential(6, 5)
+        assert a * b == TruncatedSeries.exponential(6, 5)
 
 
 class TestToddClass:
@@ -198,7 +197,7 @@ class TestFeasibility:
 
 class TestC3Lattice:
     def test_base_3_0(self):
-        # the scan-derived spacing; every feasible value is a multiple of it
+        # the closed-form spacing; every feasible value is a multiple of it
         assert feasible_c3_lattice(3, 0, 20) == 4
         feasible = [
             k for k in range(-20, 21) if is_feasible(ChernVector(3, 5, (3, 0, k)))
@@ -221,6 +220,27 @@ class TestC3Lattice:
     def test_infeasible_identity_rejected(self):
         with pytest.raises(DomainError):
             feasible_c3_lattice(3, 3, 12)
+
+    def test_matches_window_scan(self):
+        # oracle: the feasible c3 in a window are exactly the multiples of d
+        spacings = set()
+        bases = 0
+        for c1 in range(-6, 7):
+            for c2 in range(-12, 13):
+                if not is_feasible(ChernVector(3, 5, (c1, c2, 0))):
+                    continue
+                bases += 1
+                d = feasible_c3_lattice(c1, c2, 24)
+                spacings.add(d)
+                feasible = [
+                    k for k in range(-24, 25)
+                    if is_feasible(ChernVector(3, 5, (c1, c2, k)))
+                ]
+                assert feasible == [k for k in range(-24, 25) if k % d == 0]
+                with pytest.raises(ConsistencyError):
+                    feasible_c3_lattice(c1, c2, d - 1)
+        assert bases == 117
+        assert spacings == {4, 8, 12, 24}
 
     def test_scan_too_small_fails_loudly(self):
         # base (2, 0) has spacing 24: a narrower window sees only c3 = 0

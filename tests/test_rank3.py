@@ -1,12 +1,15 @@
-"""Tests for rank-3 classes on CP^5, the groups over a rank-2 base, and SNF."""
+"""Tests for rank-3 classes on CP^5 and the groups over a rank-2 base."""
 
 import math
 import random
+import time
 
 import pytest
 
 from bundle_arith.errors import ConsistencyError, DomainError
 from bundle_arith.rank3 import (
+    _PRIMALITY_BOUND,
+    _is_prime,
     KERNEL_TRIVIAL,
     KERNEL_Z3,
     RHO_UNTRACKED,
@@ -18,7 +21,6 @@ from bundle_arith.rank3 import (
     make_group,
     prime_witness,
     smallest_nonsplit_multiple,
-    smith_normal_form,
     split_rank3,
     subgroup_index,
 )
@@ -53,6 +55,30 @@ class TestSplitRealizability:
                 for z in range(y, 31):
                     e1, e2, e3 = x + y + z, x * y + y * z + z * x, x * y * z
                     assert is_split_realizable(e1, e2, e3) == (z, y, x)
+
+    def test_matches_multiset_search(self):
+        # oracle: every multiset of twists landing in the grid; on the grid
+        # x^2 + y^2 + z^2 = c1^2 - 2 c2 <= 204, so |twist| <= 14 suffices
+        expected = {}
+        for x in range(-14, 15):
+            for y in range(x, 15):
+                for z in range(y, 15):
+                    expected[(x + y + z, x * y + y * z + z * x, x * y * z)] = (z, y, x)
+        splittable = 0
+        for c1 in range(-12, 13):
+            for c2 in range(-30, 31):
+                for c3 in range(-60, 61):
+                    answer = expected.get((c1, c2, c3))
+                    assert is_split_realizable(c1, c2, c3) == answer
+                    splittable += answer is not None
+        assert 0 < splittable < 25 * 61 * 121
+
+    def test_large_c3_answers_quickly(self):
+        t0 = time.perf_counter()
+        assert is_split_realizable(0, 0, 10**18 + 3) is None
+        big = split_rank3(10**9 + 7, -3, 10**6)
+        assert is_split_realizable(big.c1, big.c2, big.c3) == (10**9 + 7, 10**6, -3)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_zero_c3_with_integer_quadratic(self):
         # t^3 - 5t^2 + 4t = t(t-1)(t-4)
@@ -140,6 +166,21 @@ class TestNonSplitMultiples:
         g = make_group(3, 0, 24)
         assert prime_witness(g, split_rank3(2, -1, 2)) == (13, True)
 
+    def test_prime_witness_large_c3_answers_quickly(self):
+        g = make_group(3, 0, 24)
+        t0 = time.perf_counter()
+        assert prime_witness(g, Rank3BundleClass(3, 0, -4 * 10**11)) == (
+            1200000000053,
+            True,
+        )
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_prime_witness_beyond_proven_primality_is_domain_error(self):
+        g = make_group(3, 0, 24)
+        c3 = -4 * (_PRIMALITY_BOUND // 12 + 1)  # 3|c3| passes the bound
+        with pytest.raises(DomainError):
+            prime_witness(g, Rank3BundleClass(3, 0, c3))
+
     def test_prime_witness_rejects_zero_c3(self):
         g = make_group(3, 0, 24)
         with pytest.raises(DomainError):
@@ -153,59 +194,6 @@ class TestNonSplitMultiples:
             assert subgroup_index(g, w) != math.inf
 
 
-class TestSmithNormalForm:
-    def test_examples(self):
-        assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
-        assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
-        assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == [1, 1, 1]
-
-    def test_presentation_determinant(self):
-        for k in list(range(-6, 0)) + list(range(1, 7)):
-            for r in (0, 1, 2):
-                invariants = smith_normal_form([[k, r], [0, 3]])
-                assert math.prod(invariants) == 3 * abs(k)
-
-    def test_divisibility_chain(self):
-        rng = random.Random(43)
-        for _ in range(60):
-            rows = rng.randint(1, 4)
-            cols = rng.randint(1, 4)
-            m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-            inv = smith_normal_form(m)
-            for a, b in zip(inv, inv[1:]):
-                if b == 0:
-                    continue
-                assert a != 0 and b % a == 0
-
-    def test_determinant_preserved_for_square_matrices(self):
-        rng = random.Random(47)
-        for _ in range(60):
-            n = rng.randint(1, 3)
-            m = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(n)]
-            det = _det(m)
-            inv = smith_normal_form(m)
-            assert math.prod(inv) == abs(det) or (det == 0 and 0 in inv)
-
-    def test_unimodular_invariance(self):
-        rng = random.Random(53)
-        base = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-        reference = smith_normal_form(base)
-        for _ in range(20):
-            m = [row[:] for row in base]
-            for _ in range(8):
-                _random_unimodular_op(rng, m)
-            assert smith_normal_form(m) == reference
-
-    def test_zero_matrix(self):
-        assert smith_normal_form([[0, 0], [0, 0]]) == [0, 0]
-
-    def test_shape_validation(self):
-        with pytest.raises(DomainError):
-            smith_normal_form([])
-        with pytest.raises(DomainError):
-            smith_normal_form([[1, 2], [3]])
-
-
 def _det(m):
     n = len(m)
     if n == 1:
@@ -217,24 +205,19 @@ def _det(m):
     return total
 
 
-def _random_unimodular_op(rng, m):
-    rows, cols = len(m), len(m[0])
-    kind = rng.randrange(4)
-    if kind == 0 and rows > 1:
-        i, j = rng.sample(range(rows), 2)
-        factor = rng.randint(-3, 3)
-        m[i] = [a + factor * b for a, b in zip(m[i], m[j])]
-    elif kind == 1 and cols > 1:
-        i, j = rng.sample(range(cols), 2)
-        factor = rng.randint(-3, 3)
-        for row in m:
-            row[i] += factor * row[j]
-    elif kind == 2 and rows > 1:
-        i, j = rng.sample(range(rows), 2)
-        m[i], m[j] = m[j], m[i]
-    elif kind == 3:
-        i = rng.randrange(rows)
-        m[i] = [-a for a in m[i]]
+class TestPrimality:
+    def test_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % i for i in range(2, math.isqrt(n) + 1))
+
+        for n in range(-2, 20000):
+            assert _is_prime(n) == trial(n), n
+
+    def test_strong_pseudoprimes_rejected(self):
+        # 2047 fools base 2 alone; 3215031751 fools bases 2, 3, 5 and 7
+        assert not _is_prime(2047)
+        assert not _is_prime(3215031751)
+        assert _is_prime(1200000000053)
 
 
 class TestSubgroupIndex:
@@ -249,6 +232,16 @@ class TestSubgroupIndex:
     def test_index_six_case(self):
         g = make_group(0, 0, 12)
         assert subgroup_index(g, Rank3BundleClass(0, 0, 16)) == 6
+
+    def test_z3_index_is_presentation_determinant(self):
+        # Z/3 kernel: the cokernel of [[k, r], [0, 3]] for every residue r
+        for base in ((3, 0), (0, 0), (0, 3), (6, 9)):
+            g = make_group(*base, 24)
+            assert g.kernel_kind == KERNEL_Z3
+            for k in list(range(-6, 0)) + list(range(1, 7)):
+                w = Rank3BundleClass(*base, k * g.c3_generator)
+                for r in (0, 1, 2):
+                    assert subgroup_index(g, w) == abs(_det([[k, r], [0, 3]]))
 
     def test_zero_c3_is_infinite(self):
         g = make_group(3, 0, 24)

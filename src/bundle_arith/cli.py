@@ -529,36 +529,36 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(result: CommandResult, args) -> None:
-    text = result.to_json() if args.json else result.render_human()
-    print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+def _error(status: str, exc: Exception) -> CommandResult:
+    return CommandResult(status, {"error": str(exc), "kind": type(exc).__name__})
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> tuple[CommandResult, int]:
     try:
         payload, notes = args.handler(args)
     except (DomainError, FormulaNotApplicableError, HorrocksUndefinedError) as exc:
-        result = CommandResult(
-            "domain_error", {"error": str(exc), "kind": type(exc).__name__}
-        )
-        _emit(result, args)
-        return EXIT_DOMAIN
+        return _error("domain_error", exc), EXIT_DOMAIN
     except ConsistencyError as exc:
-        result = CommandResult(
-            "consistency_error", {"error": str(exc), "kind": type(exc).__name__}
-        )
-        _emit(result, args)
-        return EXIT_CONSISTENCY
-    result = CommandResult("ok", payload, notes)
-    _emit(result, args)
-    if args.command == "report" and not result.payload["all_passed"]:
-        return EXIT_CONSISTENCY
-    return EXIT_OK
+        return _error("consistency_error", exc), EXIT_CONSISTENCY
+    failed = args.command == "report" and not payload["all_passed"]
+    return CommandResult("ok", payload, notes), EXIT_CONSISTENCY if failed else EXIT_OK
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    result, code = _run(args)
+    render = CommandResult.to_json if args.json else CommandResult.render_human
+    text = render(result)
+    if args.out:
+        # write before printing, so a failed write still prints one document
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            msg = f"cannot write --out file {args.out}: {exc.strerror or exc}"
+            text, code = render(_error("domain_error", DomainError(msg))), EXIT_DOMAIN
+    print(text)
+    return code
 
 
 def entrypoint() -> None:

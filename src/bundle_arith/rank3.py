@@ -164,7 +164,8 @@ def make_group(base_c1: int, base_c2: int, scan: int) -> GroupDescriptorV0:
     """Descriptor for the group over base (base_c1, base_c2).
 
     The kernel kind comes from the mod-3 test and the c3 lattice spacing
-    from the integrality scan over |c3| <= scan.
+    from the closed form of :func:`feasible_c3_lattice`; a spacing above
+    ``scan`` raises :class:`ConsistencyError`.
     """
     kernel = (
         KERNEL_Z3 if base_c1 % 3 == 0 and base_c2 % 3 == 0 else KERNEL_TRIVIAL

@@ -2,8 +2,10 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -43,6 +45,16 @@ class TestBasicCommands:
         assert doc["payload"]["feasible"] is True
         code, doc = run_json(capsys, "feasible", "2", "3", "1", "1")
         assert doc["payload"]["feasible"] is False
+
+    def test_feasible_dim_bound(self, capsys):
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "feasible", "1", "3000", "1")
+        assert code == EXIT_DOMAIN
+        assert "at most 64" in doc["payload"]["error"]
+        big = str(10**18)
+        code, doc = run_json(capsys, "feasible", "3", "64", big, "-" + big, big)
+        assert code == EXIT_OK
+        assert time.perf_counter() - start < 1.0
 
     def test_alpha_split(self, capsys):
         code, doc = run_json(capsys, "alpha", "--split", "2", "-2")
@@ -243,6 +255,17 @@ class TestOutputContract:
         assert code == EXIT_OK
         assert target.read_text().strip() == out.strip()
 
+    def test_unwritable_out_file_is_domain_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out = run_cli(
+            capsys, "--json", "--out", str(target), "count-rank2", "1", "2"
+        )
+        assert code == EXIT_DOMAIN
+        doc = json.loads(out)  # exactly one document on stdout
+        assert doc["status"] == "domain_error"
+        assert str(target) in doc["payload"]["error"]
+        assert not target.exists()
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["no-such-command"])
@@ -276,13 +299,14 @@ class TestOutputContract:
         _, second = run_json(capsys, "report", "--only", "alpha-case-table")
         assert first["payload"] == second["payload"]
 
-    def test_module_entry_point(self, capsys):
+    @pytest.mark.parametrize("module", ["bundle_arith", "bundle_arith.cli"])
+    def test_module_entry_point(self, capsys, module):
         argv = ["--json", "feasible", "2", "3", "1", "2"]
         _, expected = run_cli(capsys, *argv)
         src = str(Path(bundle_arith.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
-            [sys.executable, "-m", "bundle_arith.cli", *argv],
+            [sys.executable, "-m", module, *argv],
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == EXIT_OK
@@ -298,3 +322,104 @@ def test_golden_json(capsys, case):
     code, out = run_cli(capsys, "--json", *case["argv"].split())
     assert code == case["exit"]
     assert out == case["stdout"]
+
+
+# Chern classes, twists and quadric coefficients for the fuzz test
+FUZZ_VALUES = (0, 5, -5, 100, -100, 10**6, -(10**6), 10**18, -(10**18))
+
+
+def _fuzz_argv(rng, command):
+    """Random argv for one subcommand; box and bound sizes stay small."""
+
+    def vals(k):
+        return [str(rng.choice(FUZZ_VALUES)) for _ in range(k)]
+
+    def small(lo, hi):
+        return str(rng.randint(lo, hi))
+
+    def rank2_class(c1):
+        # the trailing alpha token is right for even c1 only half the time
+        return [c1, *vals(1), *rng.choice(([], ["0"], ["1"]))]
+
+    def group():
+        # mostly infeasible random bases, plus two feasible ones
+        base = rng.choice((vals(2), ["3", "0"], ["0", "0"]))
+        scan = rng.choice(([], ["--scan", "0"], ["--scan", "1"]))
+        return ["--base", *base, *scan], [*base, *vals(1)]
+
+    if command == "feasible":
+        rank = rng.randint(0, 4)
+        dim = rng.choice((rng.randint(1, 8), rng.randint(1, 3000), 64, 65))
+        return [command, str(rank), str(dim), *vals(max(0, rank + rng.randint(-1, 1)))]
+    if command == "count-rank2":
+        return [command, *vals(2)]
+    if command == "alpha":
+        return [command, rng.choice(("--split", "--chern")), *vals(2)]
+    if command == "add-rank2":
+        c1 = vals(1)[0]
+        shift = rng.choice(([], ["--shift", *vals(1)]))
+        return [command, "--a1", c1, "--v", *rank2_class(c1), "--w",
+                *rank2_class(rng.choice((c1, *vals(1)))), *shift]
+    if command == "horrocks":
+        c1 = vals(1)[0]
+        return [command, "--v", *rank2_class(c1), "--w", *rank2_class(c1)]
+    if command == "agree":
+        return [command, "--c1-min", small(-12, 2), "--c2-bound", small(-3, 8)]
+    if command == "tensor":
+        return [command, "--v", *rank2_class(vals(1)[0]), "--k", *vals(1)]
+    if command == "generate":
+        c1_min = rng.randint(-4, 2)
+        box = ["--c1-min", str(c1_min), "--c1-max", str(c1_min + rng.randint(-1, 3)),
+               "--c2-bound", small(-1, 6)]
+        search = rng.choice(([], ["--search-c1-min", small(-8, 0),
+                                  "--search-c2-bound", small(0, 10)]))
+        return [command, *box, *search]
+    if command.startswith("rank3 "):
+        sub = command.split()[1]
+        base, cls = group()
+        if sub == "add":
+            return ["rank3", sub, *base, "--v", *cls, "--w", *group()[1]]
+        if sub == "iterate":
+            return ["rank3", sub, *base, "--w", *cls, "--n", *vals(1)]
+        if sub == "index":
+            return ["rank3", sub, *base, "--class", *cls]
+        if sub == "split":
+            return ["rank3", sub, "--class", *vals(3)]
+        return ["rank3", sub, *base, "--w", *cls]
+    sub = command.split()[1]
+    if sub == "solve":
+        raw = rng.choice(([], ["--raw"]))
+        return ["quadric", sub, *vals(2), "--box", small(-1, 6), *raw]
+    if sub == "param1":
+        return ["quadric", sub, *vals(4)]
+    if sub == "param2":
+        return ["quadric", sub, *vals(2)]
+    return ["quadric", sub, *vals(2), "--box", small(-1, 4),
+            "--param-bound", small(-1, 6)]
+
+
+FUZZ_COMMANDS = (
+    "feasible", "count-rank2", "alpha", "add-rank2", "horrocks", "agree",
+    "tensor", "generate", "rank3 add", "rank3 iterate", "rank3 index",
+    "rank3 split", "rank3 prime-witness", "quadric solve", "quadric param1",
+    "quadric param2", "quadric cover",
+)
+
+
+def test_cli_fuzz(capsys):
+    # every input answers in bounded time with a documented exit code
+    rng = random.Random(3)
+    for command in FUZZ_COMMANDS:
+        for _ in range(20):
+            argv = ["--json", *_fuzz_argv(rng, command)]
+            start = time.perf_counter()
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+            elapsed = time.perf_counter() - start
+            out = capsys.readouterr().out
+            assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_CONSISTENCY, EXIT_USAGE), argv
+            if code != EXIT_USAGE:
+                json.loads(out)
+            assert elapsed < 1.0, (argv, elapsed)

@@ -11,14 +11,16 @@ through the rational point [1:0:0:0] sweep out its points, which gives
 two explicit solution families after clearing denominators: a
 four-parameter family (u, v, l, w) and the two-parameter family of
 identity-type solutions (those with a zero coordinate).  Brute-force
-enumeration provides the independent check that the families cover what
-a box scan finds.
+enumeration, which never uses the families, is the independent check
+that they cover every solution in a box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import isqrt
 
 from .errors import ConsistencyError, DomainError
 from .rank3 import Rank3BundleClass
@@ -35,11 +37,17 @@ __all__ = [
     "coverage_check",
     "CoverageReport",
     "enumerate_nonidentity_splits",
+    "MAX_SCAN_RADIUS",
+    "MAX_PARAM_BOUND",
 ]
 
 FAMILY1 = "family1"
 FAMILY2 = "family2"
 BRUTE_FORCE = "brute_force"
+
+# Caps with their worst-case times on a 2-core x86 VM.
+MAX_SCAN_RADIUS = 10**5  # |x| <= min(box, isqrt(a^2 + b^2)) walked: 0.15 s
+MAX_PARAM_BOUND = 24  # (2 param_bound + 1)^3 family-1 points: 0.3 s
 
 
 @dataclass(frozen=True)
@@ -123,6 +131,12 @@ def solution_to_point(s: QuadricSolution) -> QuadricPoint:
     return QuadricPoint((s.a, s.b, c, d))
 
 
+def _family1_point(u: int, v: int, l: int) -> tuple[int, int, int, int, int]:
+    """The family-1 solution (x, y, z, a, b) at scale w = 1."""
+    x = v * v + u * v - l * v
+    return x, u * (l - v), u * (u + v), u * u + x, u * l
+
+
 def param_family1(u: int, v: int, l: int, w: int) -> QuadricSolution:
     """Four-parameter solution family from lines through [1:0:0:0].
 
@@ -130,11 +144,7 @@ def param_family1(u: int, v: int, l: int, w: int) -> QuadricSolution:
     rational point; clearing denominators with the overall scale w gives
     an integer solution for every (u, v, l, w).
     """
-    x = w * (v * v + u * v - l * v)
-    y = w * u * (l - v)
-    z = w * u * (u + v)
-    a = w * (u * u + v * v + u * v - l * v)
-    b = w * u * l
+    x, y, z, a, b = (w * c for c in _family1_point(u, v, l))
     return QuadricSolution(x, y, z, a, b, Provenance(FAMILY1, (u, v, l, w)))
 
 
@@ -159,20 +169,29 @@ def brute_force_solutions(
 ) -> list[QuadricSolution]:
     """All solutions with max(|x|, |y|, |z|) <= box, exhaustively.
 
+    x^2 + y^2 + z^2 = a^2 + b^2, so x runs over |x| <= min(box, R) with
+    R = isqrt(a^2 + b^2), capped at :data:`MAX_SCAN_RADIUS`; y and z are
+    the integer roots of t^2 - (a + b - x) t + ab - x (a + b - x).
+
     By default triples are canonicalized by sorting descending and
     deduplicated; ``include_permutations`` returns every ordered triple
     instead.  Output order is deterministic either way.
     """
     if not isinstance(box, int) or box < 0:
         raise DomainError(f"box must be a non-negative integer, got {box!r}")
-    s1 = a + b
-    s2 = a * b
+    radius = min(box, isqrt(a * a + b * b))
+    if radius > MAX_SCAN_RADIUS:
+        raise DomainError(
+            f"min(box, isqrt(a^2 + b^2)) = {radius} exceeds {MAX_SCAN_RADIUS}"
+        )
     found: list[tuple[int, int, int]] = []
-    for x in range(-box, box + 1):
-        for y in range(-box, box + 1):
-            z = s1 - x - y
-            if abs(z) <= box and x * y + y * z + z * x == s2:
-                found.append((x, y, z))
+    for x in range(-radius, radius + 1):
+        s = a + b - x  # y + z, with yz = ab - xs
+        disc = s * s - 4 * (a * b - x * s)
+        if disc >= 0 and (r := isqrt(disc)) * r == disc:
+            for y in {(s - r) // 2, (s + r) // 2}:
+                if max(abs(y), abs(s - y)) <= box:
+                    found.append((x, y, s - y))
     if not include_permutations:
         found = sorted({_canonical(t) for t in found})
     else:
@@ -220,42 +239,37 @@ def coverage_check(a: int, b: int, box: int, param_bound: int) -> CoverageReport
 
     Identity-type solutions are matched by the two-parameter family
     first; everything else is searched for among family-1 parameters
-    with |u|, |v|, |l|, |w| <= param_bound.  The first generator found
-    in deterministic scan order is recorded.
+    with |u|, |v|, |l|, |w| <= param_bound (at most
+    :data:`MAX_PARAM_BOUND`).  The base w (a0, b0) = (a, b) or (b, a)
+    fixes w, so (u, v, l) are scanned with at most two scales each, in
+    ascending order, and the first generator in (u, v, l, w) order is
+    recorded.  A box holding no solution raises :class:`DomainError`.
     """
     if not isinstance(param_bound, int) or param_bound < 0:
         raise DomainError(
             f"param_bound must be a non-negative integer, got {param_bound!r}"
         )
+    if param_bound > MAX_PARAM_BOUND:
+        raise DomainError(f"param_bound = {param_bound} exceeds {MAX_PARAM_BOUND}")
     targets = brute_force_solutions(a, b, box)
+    if not targets:
+        raise DomainError(f"no solution over ({a}, {b}) lies in box {box}")
     matches: dict[tuple[int, int, int], Provenance] = {}
-
-    identity_triple = _canonical((a, b, 0))
-    for t, l, variant in ((b, a, 1), (a, b, 2)):
-        if max(abs(t), abs(l)) <= param_bound:
-            sol = param_family2(t, l)[variant - 1]
-            if sol.base == (a, b) and identity_triple not in matches:
-                matches[identity_triple] = sol.provenance
+    if max(abs(a), abs(b)) <= param_bound:
+        matches[_canonical((a, b, 0))] = param_family2(b, a)[0].provenance
 
     wanted = {s.triple for s in targets} - set(matches)
     if wanted:
         span = range(-param_bound, param_bound + 1)
-        for u in span:
-            for v in span:
-                uv = u + v
-                for l in span:
-                    x0 = v * v + u * v - l * v
-                    y0 = u * (l - v)
-                    z0 = u * uv
-                    a0 = u * u + x0
-                    b0 = u * l
-                    for w in span:
-                        base = (w * a0, w * b0)
-                        if base != (a, b) and base != (b, a):
-                            continue
-                        key = _canonical((w * x0, w * y0, w * z0))
-                        if key in wanted and key not in matches:
-                            matches[key] = Provenance(FAMILY1, (u, v, l, w))
+        for u, v, l in product(span, repeat=3):
+            x0, y0, z0, a0, b0 = _family1_point(u, v, l)
+            if not (a0 or b0):
+                continue  # the zero triple, matched above as the identity one
+            for w in sorted({p // a0 if a0 else q // b0 for p, q in ((a, b), (b, a))}):
+                if abs(w) <= param_bound and (w * a0, w * b0) in ((a, b), (b, a)):
+                    key = _canonical((w * x0, w * y0, w * z0))
+                    if key in wanted and key not in matches:
+                        matches[key] = Provenance(FAMILY1, (u, v, l, w))
     matched = []
     unmatched = []
     for sol in targets:
@@ -274,7 +288,7 @@ def coverage_check(a: int, b: int, box: int, param_bound: int) -> CoverageReport
 
 
 def enumerate_nonidentity_splits(a: int, b: int, box: int) -> list[Rank3BundleClass]:
-    """Split classes in the group over O(a) + O(b) with nonzero c3, from a box scan.
+    """Split classes in the group over O(a) + O(b) with nonzero c3, in a box.
 
     Solutions with xyz != 0 map to classes (a + b, ab, xyz); the result
     is deduplicated by class and sorted by c3.

@@ -50,7 +50,13 @@ __all__ = [
     "count_classes",
     "realizable_classes",
     "generation_closure",
+    "MAX_AGREE_PAIRS",
+    "MAX_SEARCH_EXTENT",
 ]
+
+# Caps with their worst-case times on a 2-core x86 VM.
+MAX_AGREE_PAIRS = 50_000  # pairs compared by agreement_sweep: 0.6 s
+MAX_SEARCH_EXTENT = 56  # max|c1| + c2 bound of generation_closure's search box: 1 s
 
 
 def epsilon(a: int) -> int:
@@ -258,12 +264,16 @@ def agreement_sweep(c1_min: int, c2_bound: int) -> tuple[int, bool, bool]:
     agree, and whether epsilon(-2n) = [n = 2 (mod 4)] holds for
     n = 0..-c1_min/2.  A positive or odd ``c1_min`` or a negative
     ``c2_bound`` raises :class:`DomainError`: the sweep would be empty
-    or stop short of ``c1_min``.
+    or stop short of ``c1_min``.  So does a sweep of more than
+    :data:`MAX_AGREE_PAIRS` pairs, (-c1_min/2 + 1) (4 c2_bound + 2)^2.
     """
     if c1_min > 0 or c1_min % 2:
         raise DomainError(f"c1_min must be a non-positive even integer, got {c1_min}")
     if c2_bound < 0:
         raise DomainError(f"c2_bound must be a non-negative integer, got {c2_bound}")
+    pairs = (-c1_min // 2 + 1) * (4 * c2_bound + 2) ** 2
+    if pairs > MAX_AGREE_PAIRS:
+        raise DomainError(f"the sweep's {pairs} pairs exceeds {MAX_AGREE_PAIRS}")
     cases = 0
     all_agree = True
     for c1 in range(0, c1_min - 1, -2):
@@ -367,7 +377,9 @@ def generation_closure(
     reached classes with tensor_line (any twist staying in the box) and
     horrocks_sum (pairs sharing a non-positive c1).  A cheapest witness
     expression, counted in operations applied to splits, is recorded for
-    each reached class via uniform-cost search.
+    each reached class via uniform-cost search.  A search box with
+    max |c1| + c2 bound above :data:`MAX_SEARCH_EXTENT` raises
+    :class:`DomainError`.
     """
     for name, value in (("c1_min", c1_min), ("c1_max", c1_max), ("c2_bound", c2_bound)):
         if not isinstance(value, int):
@@ -379,6 +391,13 @@ def generation_closure(
     s2 = c2_bound if search_c2_bound is None else search_c2_bound
     if s1min > c1_min or s1max < c1_max or s2 < c2_bound:
         raise DomainError("the search box must contain the report box")
+    # Any split O(x) + O(y) in the box has |x|, |y| bounded by the roots
+    # of t^2 - c1*t + c2 over the box, hence by max|c1| + c2_bound.
+    xb = max(abs(s1min), abs(s1max)) + s2
+    if xb > MAX_SEARCH_EXTENT:
+        raise DomainError(
+            f"search box max|c1| + c2 bound = {xb} exceeds {MAX_SEARCH_EXTENT}"
+        )
 
     def in_search_box(c1: int, c2: int) -> bool:
         return s1min <= c1 <= s1max and abs(c2) <= s2
@@ -389,9 +408,6 @@ def generation_closure(
     def push(cost: int, expr: str, cls: Rank2BundleClass) -> None:
         heapq.heappush(heap, (cost, *_class_sort_key(cls), expr, next(tick), cls))
 
-    # Any split O(x) + O(y) in the box has |x|, |y| bounded by the roots
-    # of t^2 - c1*t + c2 over the box, hence by max|c1| + c2_bound.
-    xb = max(abs(s1min), abs(s1max)) + s2
     for x in range(-xb, xb + 1):
         for y in range(x, xb + 1):
             if in_search_box(x + y, x * y):

@@ -19,6 +19,8 @@ from bundle_arith.cli import (
     CommandResult,
     main,
 )
+from bundle_arith.diophantine import MAX_PARAM_BOUND, MAX_SCAN_RADIUS
+from bundle_arith.rank2 import MAX_AGREE_PAIRS, MAX_SEARCH_EXTENT
 
 
 def run_cli(capsys, *argv):
@@ -129,6 +131,13 @@ class TestBasicCommands:
         code, doc = run_json(capsys, "agree", "--c1-min", "-3")
         assert code == EXIT_DOMAIN
 
+    def test_agree_sweep_size_cap(self, capsys):
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "agree", "--c1-min", "-40", "--c2-bound", "1000000")
+        assert code == EXIT_DOMAIN
+        assert "pairs" in doc["payload"]["error"]
+        assert time.perf_counter() - start < 1.0
+
 
 class TestRank3Commands:
     def test_index_example(self, capsys):
@@ -223,6 +232,20 @@ class TestQuadricCommands:
         assert code == EXIT_OK
         assert doc["payload"]["all_matched"] is True
         assert doc["payload"]["match_rate"] == "2/2"
+
+    def test_solve_large_box(self, capsys):
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "quadric", "solve", "3", "0", "--box", "1000000")
+        assert code == EXIT_OK
+        triples = [(s["x"], s["y"], s["z"]) for s in doc["payload"]["solutions"]]
+        assert triples == [(2, 2, -1), (3, 0, 0)]
+        assert time.perf_counter() - start < 1.0
+
+    def test_cover_empty_box_is_domain_error(self, capsys):
+        # no "0/0 matched" report: the box holds no solution over (100, 100)
+        code, doc = run_json(capsys, "quadric", "cover", "100", "100", "--box", "1")
+        assert code == EXIT_DOMAIN
+        assert "no solution" in doc["payload"]["error"]
 
 
 class TestOutputContract:
@@ -326,16 +349,25 @@ def test_golden_json(capsys, case):
 
 # Chern classes, twists and quadric coefficients for the fuzz test
 FUZZ_VALUES = (0, 5, -5, 100, -100, 10**6, -(10**6), 10**18, -(10**18))
+# The size caps; the fuzz test crosses each one
+SIZE_CAPS = (MAX_SCAN_RADIUS, MAX_PARAM_BOUND, MAX_AGREE_PAIRS, MAX_SEARCH_EXTENT)
 
 
 def _fuzz_argv(rng, command):
-    """Random argv for one subcommand; box and bound sizes stay small."""
+    """Random argv for one subcommand.
+
+    Box and bound sizes are small three times in four; otherwise they
+    are drawn from values around or far past the size caps.
+    """
 
     def vals(k):
         return [str(rng.choice(FUZZ_VALUES)) for _ in range(k)]
 
     def small(lo, hi):
         return str(rng.randint(lo, hi))
+
+    def size(lo, hi, large):
+        return str(rng.choice(large)) if rng.random() < 0.25 else small(lo, hi)
 
     def rank2_class(c1):
         # the trailing alpha token is right for even c1 only half the time
@@ -364,15 +396,16 @@ def _fuzz_argv(rng, command):
         c1 = vals(1)[0]
         return [command, "--v", *rank2_class(c1), "--w", *rank2_class(c1)]
     if command == "agree":
-        return [command, "--c1-min", small(-12, 2), "--c2-bound", small(-3, 8)]
+        return [command, "--c1-min", size(-12, 2, (-(10**6), 10**6)),
+                "--c2-bound", size(-3, 8, (-(10**6), 10**6))]
     if command == "tensor":
         return [command, "--v", *rank2_class(vals(1)[0]), "--k", *vals(1)]
     if command == "generate":
-        c1_min = rng.randint(-4, 2)
+        c1_min = int(size(-4, 2, (-(10**6),)))
         box = ["--c1-min", str(c1_min), "--c1-max", str(c1_min + rng.randint(-1, 3)),
-               "--c2-bound", small(-1, 6)]
-        search = rng.choice(([], ["--search-c1-min", small(-8, 0),
-                                  "--search-c2-bound", small(0, 10)]))
+               "--c2-bound", size(-1, 6, (10**6,))]
+        search = rng.choice(([], ["--search-c1-min", size(-8, 0, (-(10**6),)),
+                                  "--search-c2-bound", size(0, 10, (10**6,))]))
         return [command, *box, *search]
     if command.startswith("rank3 "):
         sub = command.split()[1]
@@ -389,13 +422,14 @@ def _fuzz_argv(rng, command):
     sub = command.split()[1]
     if sub == "solve":
         raw = rng.choice(([], ["--raw"]))
-        return ["quadric", sub, *vals(2), "--box", small(-1, 6), *raw]
+        return ["quadric", sub, *vals(2), "--box",
+                size(-1, 6, (10**5, 10**5 + 1, 10**6, 10**18)), *raw]
     if sub == "param1":
         return ["quadric", sub, *vals(4)]
     if sub == "param2":
         return ["quadric", sub, *vals(2)]
-    return ["quadric", sub, *vals(2), "--box", small(-1, 4),
-            "--param-bound", small(-1, 6)]
+    return ["quadric", sub, *vals(2), "--box", size(-1, 4, (10**5, 10**6, 10**18)),
+            "--param-bound", size(-1, 6, (24, 25, 10**18))]
 
 
 FUZZ_COMMANDS = (
@@ -409,6 +443,7 @@ FUZZ_COMMANDS = (
 def test_cli_fuzz(capsys):
     # every input answers in bounded time with a documented exit code
     rng = random.Random(3)
+    errors = []
     for command in FUZZ_COMMANDS:
         for _ in range(20):
             argv = ["--json", *_fuzz_argv(rng, command)]
@@ -421,5 +456,9 @@ def test_cli_fuzz(capsys):
             out = capsys.readouterr().out
             assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_CONSISTENCY, EXIT_USAGE), argv
             if code != EXIT_USAGE:
-                json.loads(out)
+                doc = json.loads(out)
+                if code == EXIT_DOMAIN:
+                    errors.append(doc["payload"]["error"])
             assert elapsed < 1.0, (argv, elapsed)
+    for cap in SIZE_CAPS:
+        assert any(e.endswith(f"exceeds {cap}") for e in errors), cap

@@ -1,6 +1,12 @@
-"""Tests for the quadric parametrization of split elements."""
+"""Tests for the quadric parametrization of split elements.
+
+The exhaustive searches that the library no longer runs survive here as
+oracles: a box^2 scan over (x, y) for the enumeration, and a scan over
+all four family-1 parameters (u, v, l, w) for the coverage report.
+"""
 
 import random
+import time
 from itertools import permutations, product
 
 import pytest
@@ -9,6 +15,8 @@ from bundle_arith.diophantine import (
     BRUTE_FORCE,
     FAMILY1,
     FAMILY2,
+    MAX_PARAM_BOUND,
+    MAX_SCAN_RADIUS,
     Provenance,
     QuadricPoint,
     QuadricSolution,
@@ -21,6 +29,49 @@ from bundle_arith.diophantine import (
     solution_to_point,
 )
 from bundle_arith.errors import DomainError
+
+
+def _canonical(triple):
+    return tuple(sorted(triple, reverse=True))
+
+
+def _box_scan(a, b, box, include_permutations=False):
+    """Every (x, y, z) with max(|x|, |y|, |z|) <= box, by scanning all (x, y)."""
+    found = []
+    for x in range(-box, box + 1):
+        for y in range(-box, box + 1):
+            z = a + b - x - y
+            if abs(z) <= box and x * y + y * z + z * x == a * b:
+                found.append((x, y, z))
+    if include_permutations:
+        return sorted(found)
+    return sorted({_canonical(t) for t in found})
+
+
+def _coverage_scan(a, b, box, param_bound):
+    """Matched (triple, kind, params) and unmatched triples, scanning (u, v, l, w).
+
+    Both identity-type variants are tried, then the first family-1
+    generator in (u, v, l, w) order is recorded for each triple.
+    """
+    targets = _box_scan(a, b, box)
+    matches = {}
+    for t, l, variant in ((b, a, 1), (a, b, 2)):
+        if max(abs(t), abs(l)) <= param_bound:
+            sol = param_family2(t, l)[variant - 1]
+            if sol.base == (a, b):
+                matches.setdefault(_canonical(sol.triple), (FAMILY2, (t, l, variant)))
+    span = range(-param_bound, param_bound + 1)
+    if set(targets) - set(matches):
+        for u, v, l in product(span, repeat=3):
+            x0 = v * v + u * v - l * v
+            a0 = u * u + v * v + u * v - l * v
+            for w in span:
+                if (w * a0, w * u * l) in ((a, b), (b, a)):
+                    key = _canonical((w * x0, w * u * (l - v), w * u * (u + v)))
+                    matches.setdefault(key, (FAMILY1, (u, v, l, w)))
+    matched = [(t, *matches[t]) for t in targets if t in matches]
+    return matched, [t for t in targets if t not in matches]
 
 
 class TestQuadricForm:
@@ -162,6 +213,30 @@ class TestBruteForce:
         sols = brute_force_solutions(4, 1, 6)
         assert all(s.provenance.kind == BRUTE_FORCE for s in sols)
 
+    def test_matches_box_scan(self):
+        for a, b in product(range(-15, 16), repeat=2):
+            for box in (0, 2, 6, 25):
+                for raw in (False, True):
+                    sols = brute_force_solutions(a, b, box, raw)
+                    assert [s.triple for s in sols] == _box_scan(a, b, box, raw)
+
+    def test_sphere_bound_answers_large_boxes(self):
+        # x^2 + y^2 + z^2 = a^2 + b^2 bounds the scan, not the box
+        start = time.perf_counter()
+        sols = brute_force_solutions(3, 0, 10**18)
+        assert [s.triple for s in sols] == [(2, 2, -1), (3, 0, 0)]
+        big = brute_force_solutions(MAX_SCAN_RADIUS, 0, 10**18)
+        assert _canonical((MAX_SCAN_RADIUS, 0, 0)) in {s.triple for s in big}
+        assert time.perf_counter() - start < 1.0
+
+    def test_scan_radius_cap(self):
+        with pytest.raises(DomainError, match=str(MAX_SCAN_RADIUS)):
+            brute_force_solutions(MAX_SCAN_RADIUS + 1, 0, MAX_SCAN_RADIUS + 1)
+        with pytest.raises(DomainError):
+            brute_force_solutions(10**18, 10**18, 10**18)
+        # a small box keeps the scan short whatever the base
+        assert brute_force_solutions(10**18, 0, 5) == []
+
 
 class TestCoverage:
     def test_small_index_box(self):
@@ -189,6 +264,37 @@ class TestCoverage:
         report = coverage_check(3, 0, 3, 0)
         assert not report.all_matched
         assert {s.triple for s in report.unmatched} == {(2, 2, -1), (3, 0, 0)}
+
+    def test_matches_four_parameter_scan(self):
+        for a, b in product(range(-6, 7), repeat=2):
+            for box, bound in ((3, 3), (6, 5), (9, 6)):
+                expected_matched, expected_unmatched = _coverage_scan(a, b, box, bound)
+                if not expected_matched and not expected_unmatched:
+                    with pytest.raises(DomainError, match="no solution"):
+                        coverage_check(a, b, box, bound)
+                    continue
+                report = coverage_check(a, b, box, bound)
+                matched = [(s.triple, p.kind, p.params) for s, p in report.matched]
+                assert matched == expected_matched, (a, b, box, bound)
+                assert [s.triple for s in report.unmatched] == expected_unmatched
+
+    def test_opposite_base_records_the_smaller_scale(self):
+        # over (4, -4) both w = -1 and w = 1 reach (4, 0, -4); -1 comes first
+        report = coverage_check(4, -4, 6, 2)
+        assert [(s.triple, p.params) for s, p in report.matched] == [
+            ((4, 0, -4), (-2, 0, 2, -1))
+        ]
+
+    def test_empty_box_is_domain_error(self):
+        # x^2 + y^2 + z^2 = 20000 has no solution with every |coordinate| <= 1
+        with pytest.raises(DomainError, match="no solution"):
+            coverage_check(100, 100, 1, 3)
+
+    def test_param_bound_cap(self):
+        assert coverage_check(3, 0, 6, MAX_PARAM_BOUND).all_matched
+        for bound in (MAX_PARAM_BOUND + 1, 10**18, -1):
+            with pytest.raises(DomainError, match="param_bound"):
+                coverage_check(3, 0, 6, bound)
 
 
 class TestEnumerateNonIdentitySplits:

@@ -15,6 +15,7 @@ from bundle_arith.rank2 import (
     add,
     add_shifted,
     agreement_check,
+    agreement_sweep,
     alpha_balanced_split,
     alpha_extendable,
     count_classes,
@@ -257,6 +258,13 @@ class TestAgreement:
                 for w in classes:
                     assert agreement_check(v, w)
 
+    def test_sweep_size_cap(self):
+        # (-c1_min/2 + 1) (4 c2_bound + 2)^2 pairs; the CLI default is 37,044
+        assert agreement_sweep(-8, 3) == (5 * 14**2, True, True)
+        for c1_min, c2_bound in ((-40, 12), (0, 56), (-(10**6), 10**6)):
+            with pytest.raises(DomainError, match="pairs"):
+                agreement_sweep(c1_min, c2_bound)
+
     def test_minus_four_both_give_alpha_one(self):
         v = Rank2BundleClass(-4, 0, 0)
         w = Rank2BundleClass(-4, 2, 0)
@@ -341,6 +349,13 @@ class TestGenerationClosure:
     def test_search_box_must_contain_report_box(self):
         with pytest.raises(DomainError):
             generation_closure(-4, 0, 8, search_c2_bound=2)
+
+    def test_search_box_cap(self):
+        # the doubled acceptance box, c1 in [-24, 0] with |c2| <= 32, sits at the cap
+        assert generation_closure(-12, 0, 16, -24, 0, 32).all_reached
+        for box in ((-12, 0, 16, -24, 0, 33), (-(10**6), 0, 0)):
+            with pytest.raises(DomainError, match="exceeds"):
+                generation_closure(*box)
 
     def test_deterministic(self):
         a = generation_closure(-4, 0, 6, -8, 0, 10)

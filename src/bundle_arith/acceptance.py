@@ -64,11 +64,19 @@ def check_realizability_law() -> CriterionResult:
 
 
 def check_horrocks_agreement() -> CriterionResult:
-    """Horrocks sum equals the plain group sum wherever both are defined."""
+    """Horrocks sum equals the plain group sum wherever both are defined.
+
+    Compares every pair of classes literally and requires the same
+    answer from :func:`rank2.agreement_sweep`'s mod-4 argument.
+    """
     t0 = time.perf_counter()
-    cases, ok, rule_ok = rank2.agreement_sweep(-40, 10)
+    rows = [list(rank2.realizable_classes(c1, c1, 10)) for c1 in range(0, -41, -2)]
+    checks = [rank2.agreement_check(v, w) for row in rows for v in row for w in row]
+    rule = all(rank2.epsilon(-2 * n) == (1 if n % 4 == 2 else 0) for n in range(21))
+    cases = len(checks)
+    ok = all(checks) and rule and (cases, True, True) == rank2.agreement_sweep(-40, 10)
     details = f"{cases} pairs across c1 = 0, -2, ..., -40; epsilon rule for n = 0..20"
-    return _result("horrocks-agreement", t0, 1.0, ok and rule_ok, details)
+    return _result("horrocks-agreement", t0, 1.0, ok, details)
 
 
 def check_alpha_case_table() -> CriterionResult:

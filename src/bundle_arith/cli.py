@@ -177,20 +177,17 @@ def _cmd_alpha(args):
 def _cmd_add_rank2(args):
     v = _parse_rank2_tokens(args.v)
     w = _parse_rank2_tokens(args.w)
+    g = rank2.GroupDescriptorA1(args.a1, args.shift)
+    total = rank2.add(g, v, w)
     notes = []
-    if args.shift is None:
-        g = rank2.GroupDescriptorA1(args.a1)
-        total = rank2.add(g, v, w)
-        if args.a1 % 2 == 0:
-            notes.append(_epsilon_note(args.a1))
-    else:
-        g = rank2.GroupDescriptorA1(args.a1, args.shift)
-        total = rank2.add_shifted(g, v, w)
+    if args.shift is not None:
         e = g.identity
         notes.append(
             f"shifted identity O({args.a1 - args.shift}) + O({args.shift}) has "
             f"(c2, alpha) = ({e.c2}, {e.alpha})"
         )
+    elif args.a1 % 2 == 0:
+        notes.append(_epsilon_note(args.a1))
     return {"sum": _rank2_payload(total)}, notes
 
 
@@ -546,9 +543,15 @@ def _run(args) -> tuple[CommandResult, int]:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    result, code = _run(args)
     render = CommandResult.to_json if args.json else CommandResult.render_human
-    text = render(result)
+    try:
+        result, code = _run(args)
+        text = render(result)
+    except ValueError as exc:  # str(int) past sys.get_int_max_str_digits()
+        if "integer string conversion" not in str(exc):
+            raise
+        msg = f"the result has an integer of over {sys.get_int_max_str_digits()} digits"
+        text, code = render(_error("domain_error", DomainError(msg))), EXIT_DOMAIN
     if args.out:
         # write before printing, so a failed write still prints one document
         try:

@@ -243,7 +243,8 @@ def coverage_check(a: int, b: int, box: int, param_bound: int) -> CoverageReport
     :data:`MAX_PARAM_BOUND`).  The base w (a0, b0) = (a, b) or (b, a)
     fixes w, so (u, v, l) are scanned with at most two scales each, in
     ascending order, and the first generator in (u, v, l, w) order is
-    recorded.  A box holding no solution raises :class:`DomainError`.
+    recorded; the scan stops once every solution has one.  A box
+    holding no solution raises :class:`DomainError`.
     """
     if not isinstance(param_bound, int) or param_bound < 0:
         raise DomainError(
@@ -259,17 +260,19 @@ def coverage_check(a: int, b: int, box: int, param_bound: int) -> CoverageReport
         matches[_canonical((a, b, 0))] = param_family2(b, a)[0].provenance
 
     wanted = {s.triple for s in targets} - set(matches)
-    if wanted:
-        span = range(-param_bound, param_bound + 1)
-        for u, v, l in product(span, repeat=3):
-            x0, y0, z0, a0, b0 = _family1_point(u, v, l)
-            if not (a0 or b0):
-                continue  # the zero triple, matched above as the identity one
-            for w in sorted({p // a0 if a0 else q // b0 for p, q in ((a, b), (b, a))}):
-                if abs(w) <= param_bound and (w * a0, w * b0) in ((a, b), (b, a)):
-                    key = _canonical((w * x0, w * y0, w * z0))
-                    if key in wanted and key not in matches:
-                        matches[key] = Provenance(FAMILY1, (u, v, l, w))
+    span = range(-param_bound, param_bound + 1)
+    for u, v, l in product(span, repeat=3):
+        if not wanted:
+            break
+        x0, y0, z0, a0, b0 = _family1_point(u, v, l)
+        if not (a0 or b0):
+            continue  # the zero triple, matched above as the identity one
+        for w in sorted({p // a0 if a0 else q // b0 for p, q in ((a, b), (b, a))}):
+            if abs(w) <= param_bound and (w * a0, w * b0) in ((a, b), (b, a)):
+                key = _canonical((w * x0, w * y0, w * z0))
+                if key in wanted:
+                    matches[key] = Provenance(FAMILY1, (u, v, l, w))
+                    wanted.discard(key)
     matched = []
     unmatched = []
     for sol in targets:

@@ -5,12 +5,12 @@ Chern classes plus the Z/2 Atiyah-Rees invariant alpha, which exists
 exactly when c1 is even.  Realizable Chern pairs are those with c1*c2
 even; even-c1 pairs carry two classes (alpha = 0, 1), odd-c1 pairs one.
 
-On the set of classes with a fixed c1 the module implements two
-families of abelian group laws (the plain one, whose identity is
-O(a1) + O, and a shifted one with identity O(a1-b) + O(b)), the
-Horrocks-style sum with its alpha correction, tensoring by line
-bundles, and a bounded search demonstrating that split classes generate
-everything under twisting and Horrocks sums.
+On the set of classes with a fixed c1 the module implements one abelian
+group law per split identity e, the sum v + w - e (the plain law takes
+e = O(a1) + O, a shift b takes e = O(a1-b) + O(b)), the Horrocks-style
+sum with its alpha correction, tensoring by line bundles, and a bounded
+search demonstrating that split classes generate everything under
+twisting and Horrocks sums.
 
 Z/2 values are canonical integers 0/1 and every congruence uses
 Euclidean remainders, so negative inputs behave correctly.  All values
@@ -20,7 +20,7 @@ are immutable and all functions pure.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count
 
 from .errors import (
@@ -50,12 +50,10 @@ __all__ = [
     "count_classes",
     "realizable_classes",
     "generation_closure",
-    "MAX_AGREE_PAIRS",
     "MAX_SEARCH_EXTENT",
 ]
 
-# Caps with their worst-case times on a 2-core x86 VM.
-MAX_AGREE_PAIRS = 50_000  # pairs compared by agreement_sweep: 0.6 s
+# Cap with its worst-case time on a 2-core x86 VM.
 MAX_SEARCH_EXTENT = 56  # max|c1| + c2 bound of generation_closure's search box: 1 s
 
 
@@ -140,39 +138,33 @@ def split_rank2(x: int, y: int) -> Rank2BundleClass:
 
 @dataclass(frozen=True)
 class GroupDescriptorA1:
-    """Additive structure on the classes with first Chern class ``a1``.
+    """The group law on the classes with first Chern class ``a1``.
 
     ``b is None`` selects the plain law, identity O(a1) + O; an integer
-    ``b`` selects the shifted law, identity O(a1-b) + O(b).  For the
-    plain law the alpha of the identity must equal epsilon(a1) (the
-    group law forces it); this self-consistency is asserted here.
+    ``b`` selects the shifted law, identity O(a1-b) + O(b).  Either is
+    built once, as ``identity``.  The plain identity's alpha must equal
+    epsilon(a1) (the group law forces it); this is asserted here.
     """
 
     a1: int
     b: int | None = None
+    identity: Rank2BundleClass = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.a1, int):
             raise DomainError(f"a1 must be an integer, got {self.a1!r}")
-        if self.b is not None and not isinstance(self.b, int):
-            raise DomainError(f"shift b must be an integer or None, got {self.b!r}")
-        if self.b is None and self.a1 % 2 == 0:
-            if split_rank2(self.a1, 0).alpha != epsilon(self.a1):
+        if self.b is None:
+            e = split_rank2(self.a1, 0)
+            if e.alpha is not None and e.alpha != epsilon(self.a1):
                 raise ConsistencyError(
                     f"alpha of the identity at a1 = {self.a1} does not equal "
                     f"epsilon(a1); the group law cannot be consistent"
                 )
-
-    @property
-    def identity(self) -> Rank2BundleClass:
-        if self.b is None:
-            return split_rank2(self.a1, 0)
-        return split_rank2(self.a1 - self.b, self.b)
-
-
-def _require_plain(g: GroupDescriptorA1) -> None:
-    if g.b is not None:
-        raise DomainError("this operation needs a plain (unshifted) descriptor")
+        elif isinstance(self.b, int):
+            e = split_rank2(self.a1 - self.b, self.b)
+        else:
+            raise DomainError(f"shift b must be an integer or None, got {self.b!r}")
+        object.__setattr__(self, "identity", e)
 
 
 def _require_member(g: GroupDescriptorA1, v: Rank2BundleClass) -> None:
@@ -183,36 +175,36 @@ def _require_member(g: GroupDescriptorA1, v: Rank2BundleClass) -> None:
 def add(
     g: GroupDescriptorA1, v: Rank2BundleClass, w: Rank2BundleClass
 ) -> Rank2BundleClass:
-    """Plain sum: c2 adds, alpha adds with the epsilon(a1) correction."""
-    _require_plain(g)
+    """Group sum v + w - e: c2(v) + c2(w) - c2(e), alpha(v) + alpha(w) + alpha(e).
+
+    e is the identity of ``g``; the plain one has c2 = 0, alpha = epsilon(a1).
+    """
     _require_member(g, v)
     _require_member(g, w)
-    if g.a1 % 2:
-        return Rank2BundleClass(g.a1, v.c2 + w.c2)
-    return Rank2BundleClass(
-        g.a1, v.c2 + w.c2, (v.alpha + w.alpha + epsilon(g.a1)) % 2
-    )
+    e = g.identity
+    c2 = v.c2 + w.c2 - e.c2
+    if e.alpha is None:
+        return Rank2BundleClass(g.a1, c2)
+    return Rank2BundleClass(g.a1, c2, (v.alpha + w.alpha + e.alpha) % 2)
 
 
 def negate(g: GroupDescriptorA1, v: Rank2BundleClass) -> Rank2BundleClass:
-    """Inverse for the plain sum: (a1, -c2, alpha).
+    """Inverse under v + w - e: (a1, 2 c2(e) - c2(v), alpha(v)).
 
-    Solving add(v, -v) = identity with alpha(identity) = epsilon(a1)
-    forces the inverse to keep the same alpha.
+    add(v, x) = e fixes c2(x) = 2 c2(e) - c2(v), and alpha(v) +
+    alpha(x) + alpha(e) = alpha(e) forces alpha(x) = alpha(v).
     """
-    _require_plain(g)
     _require_member(g, v)
-    return Rank2BundleClass(g.a1, -v.c2, v.alpha)
+    return Rank2BundleClass(g.a1, 2 * g.identity.c2 - v.c2, v.alpha)
 
 
 def add_shifted(
     g: GroupDescriptorA1, v: Rank2BundleClass, w: Rank2BundleClass
 ) -> Rank2BundleClass:
-    """Shifted sum: the plain sum minus the shifted identity O(a1-b) + O(b)."""
+    """:func:`add` for a shifted descriptor; a plain one is a domain error."""
     if g.b is None:
         raise DomainError("descriptor carries no shift; use add for the plain law")
-    plain = GroupDescriptorA1(g.a1)
-    return add(plain, add(plain, v, w), negate(plain, g.identity))
+    return add(g, v, w)
 
 
 def horrocks_sum(v: Rank2BundleClass, w: Rank2BundleClass) -> Rank2BundleClass:
@@ -257,39 +249,29 @@ def agreement_check(v: Rank2BundleClass, w: Rank2BundleClass) -> bool:
 
 
 def agreement_sweep(c1_min: int, c2_bound: int) -> tuple[int, bool, bool]:
-    """Check every pair of classes with c1 = 0, -2, ..., c1_min and |c2| <= c2_bound.
+    """Decide agreement for every pair with c1 = 0, -2, ..., c1_min and |c2| <= c2_bound.
 
-    Returns ``(cases, all_agree, epsilon_rule_verified)``: the number of
-    pairs compared by :func:`agreement_check`, whether all of them
-    agree, and whether epsilon(-2n) = [n = 2 (mod 4)] holds for
-    n = 0..-c1_min/2.  A positive or odd ``c1_min`` or a negative
-    ``c2_bound`` raises :class:`DomainError`: the sweep would be empty
-    or stop short of ``c1_min``.  So does a sweep of more than
-    :data:`MAX_AGREE_PAIRS` pairs, (-c1_min/2 + 1) (4 c2_bound + 2)^2.
+    Returns ``(cases, all_agree, epsilon_rule_verified)``: the pair
+    count (-c1_min/2 + 1) (4 c2_bound + 2)^2, whether the Horrocks and
+    plain sums agree on every pair, and whether epsilon(-2n) =
+    [n = 2 (mod 4)] for n = 0..-c1_min/2.  Both sums add c2, and at
+    c1 = -2n their alphas differ by [n = 2 (mod 4)] - epsilon(-2n)
+    whatever the summands, so one pair per residue of n mod 4 decides
+    the sweep.  A positive or odd ``c1_min`` or a negative ``c2_bound``
+    raises :class:`DomainError`: the sweep would be empty or stop short
+    of ``c1_min``.
     """
     if c1_min > 0 or c1_min % 2:
         raise DomainError(f"c1_min must be a non-positive even integer, got {c1_min}")
     if c2_bound < 0:
         raise DomainError(f"c2_bound must be a non-negative integer, got {c2_bound}")
-    pairs = (-c1_min // 2 + 1) * (4 * c2_bound + 2) ** 2
-    if pairs > MAX_AGREE_PAIRS:
-        raise DomainError(f"the sweep's {pairs} pairs exceeds {MAX_AGREE_PAIRS}")
-    cases = 0
-    all_agree = True
-    for c1 in range(0, c1_min - 1, -2):
-        classes = [
-            Rank2BundleClass(c1, c2, a)
-            for c2 in range(-c2_bound, c2_bound + 1)
-            for a in (0, 1)
-        ]
-        for v in classes:
-            for w in classes:
-                cases += 1
-                if not agreement_check(v, w):
-                    all_agree = False
-    rule = all(
-        epsilon(-2 * n) == (1 if n % 4 == 2 else 0) for n in range(-c1_min // 2 + 1)
+    residues = range(min(4, -c1_min // 2 + 1))
+    all_agree = all(
+        agreement_check(Rank2BundleClass(-2 * n, 0, 0), Rank2BundleClass(-2 * n, 0, 0))
+        for n in residues
     )
+    rule = all(epsilon(-2 * n) == (1 if n % 4 == 2 else 0) for n in residues)
+    cases = (-c1_min // 2 + 1) * (4 * c2_bound + 2) ** 2
     return cases, all_agree, rule
 
 

@@ -20,7 +20,7 @@ from bundle_arith.cli import (
     main,
 )
 from bundle_arith.diophantine import MAX_PARAM_BOUND, MAX_SCAN_RADIUS
-from bundle_arith.rank2 import MAX_AGREE_PAIRS, MAX_SEARCH_EXTENT
+from bundle_arith.rank2 import MAX_SEARCH_EXTENT
 
 
 def run_cli(capsys, *argv):
@@ -131,12 +131,32 @@ class TestBasicCommands:
         code, doc = run_json(capsys, "agree", "--c1-min", "-3")
         assert code == EXIT_DOMAIN
 
-    def test_agree_sweep_size_cap(self, capsys):
+    def test_agree_answers_huge_bounds(self, capsys):
         start = time.perf_counter()
         code, doc = run_json(capsys, "agree", "--c1-min", "-40", "--c2-bound", "1000000")
-        assert code == EXIT_DOMAIN
-        assert "pairs" in doc["payload"]["error"]
+        assert code == EXIT_OK
+        assert doc["payload"]["cases"] == 336000336000084
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tensor", "--v", "2", "3", "0", "--k", "9" * 4000],
+            ["quadric", "param1", "9" * 4000, "1", "1", "1"],
+            ["feasible", "1", "3", "9" * 4000],
+            ["agree", "--c1-min", "-" + "9" * 3999 + "8", "--c2-bound", "9" * 4000],
+        ],
+        ids=["tensor", "param1", "feasible", "agree"],
+    )
+    def test_too_many_digits_is_domain_error(self, capsys, argv):
+        # str(int) refuses results past sys.get_int_max_str_digits()
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "--json", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_DOMAIN
+        doc = json.loads(out)  # exactly one document, no traceback
+        assert doc["status"] == "domain_error"
+        assert "digits" in doc["payload"]["error"]
 
 
 class TestRank3Commands:
@@ -350,7 +370,7 @@ def test_golden_json(capsys, case):
 # Chern classes, twists and quadric coefficients for the fuzz test
 FUZZ_VALUES = (0, 5, -5, 100, -100, 10**6, -(10**6), 10**18, -(10**18))
 # The size caps; the fuzz test crosses each one
-SIZE_CAPS = (MAX_SCAN_RADIUS, MAX_PARAM_BOUND, MAX_AGREE_PAIRS, MAX_SEARCH_EXTENT)
+SIZE_CAPS = (MAX_SCAN_RADIUS, MAX_PARAM_BOUND, MAX_SEARCH_EXTENT)
 
 
 def _fuzz_argv(rng, command):
@@ -455,6 +475,11 @@ def test_cli_fuzz(capsys):
             elapsed = time.perf_counter() - start
             out = capsys.readouterr().out
             assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_CONSISTENCY, EXIT_USAGE), argv
+            if command == "agree":
+                # any non-empty sweep answers, however large
+                c1_min, c2_bound = int(argv[3]), int(argv[5])
+                valid = c1_min <= 0 and c1_min % 2 == 0 and c2_bound >= 0
+                assert (code == EXIT_OK) == valid, argv
             if code != EXIT_USAGE:
                 doc = json.loads(out)
                 if code == EXIT_DOMAIN:

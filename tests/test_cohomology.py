@@ -7,6 +7,7 @@ ch(V) Td(CP^n) e^(th) over plain Fraction lists, with ch read off
 log c(V) rather than Newton's identities.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -300,6 +301,38 @@ class TestC3Lattice:
         with pytest.raises(ConsistencyError):
             feasible_c3_lattice(2, 0, 20)
         assert feasible_c3_lattice(2, 0, 24) == 24
+
+
+class TestRank3Law:
+    """Rank-3 feasibility on CP^5 has period 24 and a mod-3 rule for c3."""
+
+    @staticmethod
+    def _scaled_chi(c, t):
+        return 120 * euler_characteristic(ChernVector(3, 5, c), t)
+
+    def test_period_24_by_finite_differences(self):
+        # 120 chi is a polynomial of degree <= 5 in each of c1, c2, c3, t, and
+        # so is each difference below: vanishing mod 120 on {0..5}^4 makes
+        # every finite difference at 0 vanish mod 120, hence every value
+        for c in itertools.product(range(6), repeat=3):
+            for t in range(6):
+                base = self._scaled_chi(c, t)
+                for i in range(3):
+                    shifted = tuple(ci + 24 * (j == i) for j, ci in enumerate(c))
+                    assert (self._scaled_chi(shifted, t) - base) % 120 == 0
+
+    def test_classes_mod_24(self):
+        feasible = [
+            c for c in itertools.product(range(24), repeat=3)
+            if is_feasible(ChernVector(3, 5, c))
+        ]
+        assert len(feasible) == 800
+        # the c3 mod 3 that feasible classes allow over each (c1, c2) mod 3
+        allowed = {(c1, c2): set() for c1 in range(3) for c2 in range(3)}
+        for c1, c2, c3 in feasible:
+            allowed[c1 % 3, c2 % 3].add(c3 % 3)
+        table = {(0, 0): {0, 1, 2}, (0, 1): set(), (1, 2): {2}, (2, 2): {1}}
+        assert allowed == {key: table.get(key, {0}) for key in allowed}
 
 
 class TestValidation:

@@ -1,6 +1,7 @@
 """Tests for rank-2 classes, their group laws, and the generation search."""
 
 import random
+import time
 
 import pytest
 
@@ -215,11 +216,30 @@ class TestShiftedGroup:
             assert lhs == rhs
 
     def test_add_requires_matching_variant(self):
-        v = Rank2BundleClass(0, 0, 0)
-        with pytest.raises(DomainError):
-            add(GroupDescriptorA1(0, 2), v, v)
-        with pytest.raises(DomainError):
+        # add serves every descriptor; add_shifted still needs a shift
+        v = Rank2BundleClass(0, 3, 1)
+        w = Rank2BundleClass(0, -7, 0)
+        for b in range(-5, 6):
+            g = GroupDescriptorA1(0, b)
+            assert add(g, v, w) == add_shifted(g, v, w)
+        with pytest.raises(DomainError, match="no shift"):
             add_shifted(GroupDescriptorA1(0), v, v)
+
+    def test_negate_is_plain_e_plus_e_minus_x(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            a1 = rng.randint(-12, 12)
+            g = GroupDescriptorA1(a1, rng.randint(-6, 6))
+            plain = GroupDescriptorA1(a1)
+            c2 = rng.randint(-40, 40) * (2 if a1 % 2 else 1)
+            x = (
+                Rank2BundleClass(a1, c2)
+                if a1 % 2
+                else Rank2BundleClass(a1, c2, rng.randint(0, 1))
+            )
+            e = g.identity
+            assert negate(g, x) == add(plain, add(plain, e, e), negate(plain, x))
+            assert add(g, x, negate(g, x)) == g.identity
 
 
 class TestHorrocksSum:
@@ -258,12 +278,35 @@ class TestAgreement:
                 for w in classes:
                     assert agreement_check(v, w)
 
-    def test_sweep_size_cap(self):
+    def test_closed_form_matches_literal_sweep(self):
+        # c1_min in {0, -2, ..., -24}: each c1 extends the previous sweep's pairs
+        for c2_bound in range(6):
+            cases = 0
+            all_agree = True
+            for c1_min in range(0, -25, -2):
+                classes = [
+                    Rank2BundleClass(c1_min, c2, a)
+                    for c2 in range(-c2_bound, c2_bound + 1)
+                    for a in (0, 1)
+                ]
+                for v in classes:
+                    for w in classes:
+                        cases += 1
+                        all_agree = agreement_check(v, w) and all_agree
+                rule = all(
+                    epsilon(-2 * n) == (1 if n % 4 == 2 else 0)
+                    for n in range(-c1_min // 2 + 1)
+                )
+                expected = (cases, all_agree, rule)
+                assert agreement_sweep(c1_min, c2_bound) == expected
+
+    def test_sweep_answers_huge_bounds(self):
         # (-c1_min/2 + 1) (4 c2_bound + 2)^2 pairs; the CLI default is 37,044
-        assert agreement_sweep(-8, 3) == (5 * 14**2, True, True)
-        for c1_min, c2_bound in ((-40, 12), (0, 56), (-(10**6), 10**6)):
-            with pytest.raises(DomainError, match="pairs"):
-                agreement_sweep(c1_min, c2_bound)
+        assert agreement_sweep(-40, 10) == (37044, True, True)
+        start = time.perf_counter()
+        answer = agreement_sweep(-(10**6), 10**6)
+        assert time.perf_counter() - start < 1.0
+        assert answer == ((10**6 // 2 + 1) * (4 * 10**6 + 2) ** 2, True, True)
 
     def test_minus_four_both_give_alpha_one(self):
         v = Rank2BundleClass(-4, 0, 0)

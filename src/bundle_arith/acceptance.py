@@ -10,6 +10,7 @@ deterministic.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -328,7 +329,7 @@ def check_oracle_consistency() -> CriterionResult:
     ch_cases = 0
     for dim in range(1, 6):
         for r in (1, 2, 3):
-            for combo in _twist_multisets(r, 10):
+            for combo in itertools.combinations_with_replacement(range(-10, 11), r):
                 v = cohomology.split_chern_vector(dim, combo)
                 got = cohomology.chern_character(v)
                 expected = tuple(
@@ -359,17 +360,6 @@ def check_oracle_consistency() -> CriterionResult:
         chi_cases += 1
     details = f"{ch_cases} split Chern characters, {chi_cases} Euler characteristics"
     return _result("oracle-consistency", t0, None, ok, details)
-
-
-def _twist_multisets(r: int, bound: int):
-    """Nondecreasing twist tuples with entries in [-bound, bound]."""
-    if r == 1:
-        for a in range(-bound, bound + 1):
-            yield (a,)
-        return
-    for rest in _twist_multisets(r - 1, bound):
-        for a in range(rest[-1], bound + 1):
-            yield rest + (a,)
 
 
 CRITERIA = {

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -264,10 +265,6 @@ def _cmd_generate(args):
     return payload, notes
 
 
-def _make_group(args):
-    return rank3.make_group(args.base[0], args.base[1], args.scan)
-
-
 def _group_notes(g: rank3.GroupDescriptorV0) -> list[str]:
     return [
         f"kernel of c3 is {g.kernel_kind} "
@@ -278,7 +275,7 @@ def _group_notes(g: rank3.GroupDescriptorV0) -> list[str]:
 
 
 def _cmd_rank3_add(args):
-    g = _make_group(args)
+    g = rank3.make_group(*args.base, args.scan)
     v = rank3.Rank3BundleClass(*args.v)
     w = rank3.Rank3BundleClass(*args.w)
     total = rank3.add(g, v, w)
@@ -286,14 +283,14 @@ def _cmd_rank3_add(args):
 
 
 def _cmd_rank3_iterate(args):
-    g = _make_group(args)
+    g = rank3.make_group(*args.base, args.scan)
     w = rank3.Rank3BundleClass(*args.w)
     out = rank3.iterate(g, w, args.n)
     return {"class": _rank3_payload(out)}, _group_notes(g)
 
 
 def _cmd_rank3_index(args):
-    g = _make_group(args)
+    g = rank3.make_group(*args.base, args.scan)
     w = rank3.Rank3BundleClass(*args.cls)
     index = rank3.subgroup_index(g, w)
     payload = {
@@ -329,7 +326,7 @@ def _cmd_rank3_split(args):
 
 
 def _cmd_rank3_prime_witness(args):
-    g = _make_group(args)
+    g = rank3.make_group(*args.base, args.scan)
     w = rank3.Rank3BundleClass(*args.w)
     p, verified = rank3.prime_witness(g, w)
     notes = _group_notes(g)
@@ -560,7 +557,11 @@ def main(argv=None) -> int:
         except OSError as exc:
             msg = f"cannot write --out file {args.out}: {exc.strerror or exc}"
             text, code = render(_error("domain_error", DomainError(msg))), EXIT_DOMAIN
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader stopped early; keep the interpreter's exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

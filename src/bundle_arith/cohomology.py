@@ -150,9 +150,12 @@ def feasible_c3_lattice(c1: int, c2: int, scan: int) -> int:
     chi(c1, c2, c3; t) = chi(c1, c2, 0; t) + c3 * s(t) with
     s(t) = chi(c1, c2, 1; t) - chi(c1, c2, 0; t).  Over a feasible base
     the feasible c3 are therefore exactly dZ, d the lcm of the
-    denominators of s(0..5).  ``scan`` caps d: a spacing larger than
-    ``scan`` means the window |c3| <= scan holds no nonzero feasible
-    value, and raises :class:`ConsistencyError`.
+    denominators of s(0..5).  In fact d = d8 * d3, with d8 = 8 when the
+    base allows only c3 = 0 mod 8 and 4 otherwise, and d3 = 1 when
+    (c1, c2) = (0, 0) mod 3 and 3 otherwise; the tests pin both tables.
+    ``scan`` caps d: a spacing larger than ``scan`` means the window
+    |c3| <= scan holds no nonzero feasible value, and raises
+    :class:`ConsistencyError`.
     """
     if not isinstance(scan, int) or scan < 1:
         raise DomainError(f"scan bound must be a positive integer, got {scan!r}")

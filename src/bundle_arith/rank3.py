@@ -17,7 +17,7 @@ by split classes contain non-split members.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cohomology import ChernVector, feasible_c3_lattice, is_feasible
 from .errors import ConsistencyError, DomainError
@@ -124,54 +124,40 @@ def is_split_realizable(c1: int, c2: int, c3: int) -> tuple[int, int, int] | Non
 class GroupDescriptorV0:
     """Group of rank-3 classes over a rank-2 base with Chern data (base_c1, base_c2).
 
-    ``kernel_kind`` records the kernel of the c3 homomorphism (Z/3 when
-    both base classes are divisible by 3, trivial otherwise) and
-    ``c3_generator`` the spacing of the feasible c3 lattice.
+    ``c3_generator`` is the spacing d of the feasible c3 lattice.  The
+    identity (base_c1, base_c2, 0) is built once, as ``identity``; building
+    it checks that the base is feasible.  ``kernel_kind`` is the kernel of
+    the c3 homomorphism, read off the base by the mod-3 rule.
     """
 
     base_c1: int
     base_c2: int
-    kernel_kind: str
     c3_generator: int
+    identity: Rank3BundleClass = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.kernel_kind not in (KERNEL_TRIVIAL, KERNEL_Z3):
-            raise DomainError(f"unknown kernel kind {self.kernel_kind!r}")
-        expected = (
-            KERNEL_Z3
-            if self.base_c1 % 3 == 0 and self.base_c2 % 3 == 0
-            else KERNEL_TRIVIAL
-        )
-        if self.kernel_kind != expected:
-            raise DomainError(
-                f"kernel kind {self.kernel_kind!r} contradicts the mod-3 rule "
-                f"for base ({self.base_c1}, {self.base_c2})"
-            )
         if not isinstance(self.c3_generator, int) or self.c3_generator < 1:
             raise DomainError("c3_generator must be a positive integer")
-        if not is_feasible(ChernVector(3, 5, (self.base_c1, self.base_c2, 0))):
-            raise DomainError(
-                f"identity data ({self.base_c1}, {self.base_c2}, 0) is not "
-                "feasible on CP^5"
-            )
+        e = Rank3BundleClass(self.base_c1, self.base_c2, 0)
+        object.__setattr__(self, "identity", e)
 
     @property
-    def identity(self) -> Rank3BundleClass:
-        return Rank3BundleClass(self.base_c1, self.base_c2, 0)
+    def kernel_kind(self) -> str:
+        """Z/3 when both base classes are divisible by 3, trivial otherwise."""
+        if self.base_c1 % 3 == 0 and self.base_c2 % 3 == 0:
+            return KERNEL_Z3
+        return KERNEL_TRIVIAL
 
 
 def make_group(base_c1: int, base_c2: int, scan: int) -> GroupDescriptorV0:
     """Descriptor for the group over base (base_c1, base_c2).
 
-    The kernel kind comes from the mod-3 test and the c3 lattice spacing
-    from the closed form of :func:`feasible_c3_lattice`; a spacing above
-    ``scan`` raises :class:`ConsistencyError`.
+    The c3 lattice spacing comes from the closed form of
+    :func:`feasible_c3_lattice`, which also rejects an infeasible base; a
+    spacing above ``scan`` raises :class:`ConsistencyError`.
     """
-    kernel = (
-        KERNEL_Z3 if base_c1 % 3 == 0 and base_c2 % 3 == 0 else KERNEL_TRIVIAL
-    )
     d = feasible_c3_lattice(base_c1, base_c2, scan)
-    return GroupDescriptorV0(base_c1, base_c2, kernel, d)
+    return GroupDescriptorV0(base_c1, base_c2, d)
 
 
 def _require_member(g: GroupDescriptorV0, v: Rank3BundleClass) -> None:

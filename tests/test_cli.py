@@ -355,6 +355,22 @@ class TestOutputContract:
         assert proc.returncode == EXIT_OK
         assert proc.stdout == expected
 
+    def test_reader_closing_pipe_early_is_quiet(self):
+        # about 200 kB of output, far more than a pipe buffer holds
+        argv = ["feasible", "1", "64", str(10**50)]
+        src = str(Path(bundle_arith.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bundle_arith", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_OK
+        assert err == b""
+
 
 # --json output of the README examples and edge cases, byte for byte
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text("utf-8"))

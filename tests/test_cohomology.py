@@ -25,6 +25,7 @@ from bundle_arith.cohomology import (
     split_chern_vector,
 )
 from bundle_arith.errors import ConsistencyError, DomainError
+from bundle_arith.rank3 import KERNEL_Z3, make_group
 
 
 def _mul(a, b):
@@ -321,11 +322,32 @@ class TestRank3Law:
                     shifted = tuple(ci + 24 * (j == i) for j, ci in enumerate(c))
                     assert (self._scaled_chi(shifted, t) - base) % 120 == 0
 
-    def test_classes_mod_24(self):
-        feasible = [
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _classes_mod_24():
+        return tuple(
             c for c in itertools.product(range(24), repeat=3)
             if is_feasible(ChernVector(3, 5, c))
-        ]
+        )
+
+    # The c3 mod 8 that feasible classes allow, by c1 mod 8 and then c2 mod 8
+    _EMPTY = frozenset()
+    _MOD_8 = {
+        (0, 4): ({0}, {2, 6}, _EMPTY, {0, 4}, {0}, {2, 6}, _EMPTY, {0, 4}),
+        (2, 6): ({0}, {0, 4}, _EMPTY, {2, 6}, {0}, {0, 4}, _EMPTY, {2, 6}),
+        (1,): ({0, 4}, _EMPTY, {0, 4}, {3}, {0, 4}, _EMPTY, {0, 4}, {7}),
+        (3,): ({0, 4}, _EMPTY, {0, 4}, {1}, {0, 4}, _EMPTY, {0, 4}, {5}),
+        (5,): ({0, 4}, _EMPTY, {0, 4}, {7}, {0, 4}, _EMPTY, {0, 4}, {3}),
+        (7,): ({0, 4}, _EMPTY, {0, 4}, {5}, {0, 4}, _EMPTY, {0, 4}, {1}),
+    }
+
+    @classmethod
+    def _mod_8_entry(cls, c1, c2):
+        row = next(r for key, r in cls._MOD_8.items() if c1 % 8 in key)
+        return row[c2 % 8]
+
+    def test_classes_mod_24(self):
+        feasible = self._classes_mod_24()
         assert len(feasible) == 800
         # the c3 mod 3 that feasible classes allow over each (c1, c2) mod 3
         allowed = {(c1, c2): set() for c1 in range(3) for c2 in range(3)}
@@ -334,6 +356,28 @@ class TestRank3Law:
         table = {(0, 0): {0, 1, 2}, (0, 1): set(), (1, 2): {2}, (2, 2): {1}}
         assert allowed == {key: table.get(key, {0}) for key in allowed}
 
+    def test_classes_mod_8(self):
+        allowed = {(c1, c2): set() for c1 in range(8) for c2 in range(8)}
+        for c1, c2, c3 in self._classes_mod_24():
+            allowed[c1 % 8, c2 % 8].add(c3 % 8)
+        assert allowed == {key: self._mod_8_entry(*key) for key in allowed}
+
+    def test_lattice_spacing_is_d8_times_d3(self):
+        # Over a feasible base the c3 lattice is dZ with d = d8 * d3: d8 = 8
+        # when the mod-8 table allows only c3 = 0 mod 8, else 4; d3 = 1 when
+        # (c1, c2) = (0, 0) mod 3, else 3.  The kernel is Z/3 iff d3 = 1.
+        bases = 0
+        for c1 in range(-40, 41):
+            for c2 in range(-40, 41):
+                if not is_feasible(ChernVector(3, 5, (c1, c2, 0))):
+                    continue
+                bases += 1
+                d8 = 8 if self._mod_8_entry(c1, c2) == {0} else 4
+                d3 = 1 if c1 % 3 == 0 and c2 % 3 == 0 else 3
+                g = make_group(c1, c2, 24)
+                assert g.c3_generator == d8 * d3
+                assert (g.kernel_kind == KERNEL_Z3) == (d3 == 1)
+        assert bases == 2208
 
 class TestValidation:
     def test_chern_vector_shape(self):

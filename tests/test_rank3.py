@@ -107,12 +107,8 @@ class TestMakeGroup:
     def test_infeasible_identity_rejected(self):
         with pytest.raises(DomainError):
             make_group(3, 3, 24)
-
-    def test_descriptor_validates_kernel_kind(self):
         with pytest.raises(DomainError):
-            GroupDescriptorV0(3, 0, KERNEL_TRIVIAL, 4)
-        with pytest.raises(DomainError):
-            GroupDescriptorV0(1, 0, KERNEL_Z3, 12)
+            GroupDescriptorV0(3, 3, 4)
 
 
 class TestGroupOperations:
@@ -248,6 +244,6 @@ class TestSubgroupIndex:
         assert subgroup_index(g, g.identity) == math.inf
 
     def test_generator_not_dividing_c3_is_inconsistent(self):
-        synthetic = GroupDescriptorV0(3, 0, KERNEL_Z3, 3)
+        synthetic = GroupDescriptorV0(3, 0, 3)
         with pytest.raises(ConsistencyError):
             subgroup_index(synthetic, split_rank3(2, -1, 2))

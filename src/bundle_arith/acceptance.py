@@ -169,32 +169,31 @@ def check_nonsplit_witnesses() -> CriterionResult:
     return _result("nonsplit-witnesses", t0, None, ok, "; ".join(parts))
 
 
+def _rand_rank2(rng, a1):
+    """A random class over a1: one draw for c2 (doubled for odd a1), one for even a1's alpha."""
+    c2 = rng.randint(-30, 30)
+    if a1 % 2:
+        return rank2.Rank2BundleClass(a1, 2 * c2)
+    return rank2.Rank2BundleClass(a1, c2, rng.randint(0, 1))
+
+
 def _rank2_axioms(rng, descriptor, triples):
     """Associativity, commutativity, identity, inverses for one descriptor."""
-    a1 = descriptor.a1
-    plain = rank2.GroupDescriptorA1(a1)
-    shifted = descriptor.b is not None
+    plain = rank2.GroupDescriptorA1(descriptor.a1)
+    e = descriptor.identity
 
     def sum_(x, y):
-        return rank2.add_shifted(descriptor, x, y) if shifted else rank2.add(descriptor, x, y)
+        return rank2.add(descriptor, x, y)
 
-    def rand_class():
-        c2 = rng.randint(-30, 30)
-        if a1 % 2:
-            c2 *= 2
-            return rank2.Rank2BundleClass(a1, c2)
-        return rank2.Rank2BundleClass(a1, c2, rng.randint(0, 1))
-
-    e = descriptor.identity
     for _ in range(triples):
-        x, y, z = rand_class(), rand_class(), rand_class()
+        x, y, z = (_rand_rank2(rng, descriptor.a1) for _ in range(3))
         if sum_(sum_(x, y), z) != sum_(x, sum_(y, z)):
             return False
         if sum_(x, y) != sum_(y, x):
             return False
         if sum_(x, e) != x:
             return False
-        if shifted:
+        if descriptor.b:
             # inverse of x is e + e - x in the plain arithmetic
             inv = rank2.add(plain, rank2.add(plain, e, e), rank2.negate(plain, x))
         else:
@@ -232,16 +231,9 @@ def check_group_axioms() -> CriterionResult:
         b = rng.randint(-5, 5)
         plain = rank2.GroupDescriptorA1(a1)
         shifted = rank2.GroupDescriptorA1(a1, b)
-
-        def rand_class():
-            c2 = rng.randint(-30, 30)
-            if a1 % 2:
-                return rank2.Rank2BundleClass(a1, 2 * c2)
-            return rank2.Rank2BundleClass(a1, c2, rng.randint(0, 1))
-
-        v, w, z = rand_class(), rand_class(), rand_class()
-        lhs = rank2.add_shifted(shifted, rank2.add(plain, v, w), z)
-        rhs = rank2.add(plain, v, rank2.add_shifted(shifted, w, z))
+        v, w, z = (_rand_rank2(rng, a1) for _ in range(3))
+        lhs = rank2.add(shifted, rank2.add(plain, v, w), z)
+        rhs = rank2.add(plain, v, rank2.add(shifted, w, z))
         if lhs != rhs:
             ok = False
         mixed += 1

@@ -17,12 +17,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import acceptance, cohomology, diophantine, rank2, rank3
-from .errors import (
-    ConsistencyError,
-    DomainError,
-    FormulaNotApplicableError,
-    HorrocksUndefinedError,
-)
+from .errors import ConsistencyError, DomainError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -121,18 +116,14 @@ def _alpha_note(c1: int, c2: int) -> str:
 
 
 def _epsilon_note(a1: int) -> str:
-    return (
-        f"epsilon({a1}) = {rank2.epsilon(a1)} "
-        f"({a1} {'=' if a1 % 8 == 4 else '!='} 4 mod 8)"
-    )
+    eps = rank2.epsilon(a1)
+    return f"epsilon({a1}) = {eps} ({a1} {'=' if eps else '!='} 4 mod 8)"
 
 
 def _cmd_feasible(args):
     vector = cohomology.ChernVector(args.rank, args.dim, tuple(args.chern))
     feasible = cohomology.is_feasible(vector)
-    chis = [
-        cohomology.euler_characteristic(vector, t) for t in range(args.dim + 1)
-    ]
+    chis = cohomology._chis(vector, range(args.dim + 1))
     notes = [
         "chi at twists 0..dim: " + ", ".join(str(c) for c in chis),
         "feasible iff every twisted chi is an integer",
@@ -178,7 +169,7 @@ def _cmd_alpha(args):
 def _cmd_add_rank2(args):
     v = _parse_rank2_tokens(args.v)
     w = _parse_rank2_tokens(args.w)
-    g = rank2.GroupDescriptorA1(args.a1, args.shift)
+    g = rank2.GroupDescriptorA1(args.a1, args.shift or 0)
     total = rank2.add(g, v, w)
     notes = []
     if args.shift is not None:
@@ -530,7 +521,7 @@ def _error(status: str, exc: Exception) -> CommandResult:
 def _run(args) -> tuple[CommandResult, int]:
     try:
         payload, notes = args.handler(args)
-    except (DomainError, FormulaNotApplicableError, HorrocksUndefinedError) as exc:
+    except DomainError as exc:
         return _error("domain_error", exc), EXIT_DOMAIN
     except ConsistencyError as exc:
         return _error("consistency_error", exc), EXIT_CONSISTENCY

@@ -21,6 +21,7 @@ so concurrent use is safe and results never depend on evaluation order.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,8 +39,10 @@ __all__ = [
 ]
 
 # Largest ambient dimension accepted.  chi at all twists 0..dim costs
-# about dim^3 big-integer operations: for a line bundle on a 2-core x86
-# VM, about 0.02 s at dim 64, 0.2 s at 128 and 2 s at 256.
+# about dim^3 big-integer operations: for O(1) on a 2-core x86 VM, about
+# 0.03 s at dim 64, 0.25 s at 128 and 2.4 s at 256.  Classes of 4000
+# digits (near the input limit) make the integers huge: `feasible` at
+# dim 64 then takes about 1.5 s at rank 1 to 3 and 15 s at rank 64.
 MAX_DIM = 64
 
 
@@ -107,28 +110,34 @@ def chern_character(v: ChernVector) -> tuple[Fraction, ...]:
     )
 
 
-def euler_characteristic(v: ChernVector, twist: int = 0) -> Fraction:
-    """chi(v tensor O(twist)) on CP^dim, as an exact rational.
+def _chis(v: ChernVector, twists: Iterable[int]) -> Iterator[Fraction]:
+    """chi(v(t)) for each t in ``twists``, lazily, from one set of power sums.
 
-    n! * chi = sum_k p_k * e_{n-k}(twist + 1, ..., twist + n), with n = dim.
+    n! * chi = sum_k p_k * e_{n-k}(t + 1, ..., t + n), with n = dim.  The
+    power sums are the costly part for large classes (p_k grows like
+    c^k), so they are computed once per vector, not once per twist.
     """
+    n = v.dim
+    p = _power_sums(v)
+    for t in twists:
+        e = [1] + [0] * n
+        for i in range(1, n + 1):
+            for j in range(i, 0, -1):
+                e[j] += e[j - 1] * (t + i)
+        yield Fraction(sum(p[k] * e[n - k] for k in range(n + 1)), math.factorial(n))
+
+
+def euler_characteristic(v: ChernVector, twist: int = 0) -> Fraction:
+    """chi(v tensor O(twist)) on CP^dim, as an exact rational."""
     if not isinstance(twist, int):
         raise DomainError(f"twist must be an integer, got {twist!r}")
-    n = v.dim
-    e = [1] + [0] * n
-    for i in range(1, n + 1):
-        for j in range(i, 0, -1):
-            e[j] += e[j - 1] * (twist + i)
-    p = _power_sums(v)
-    return Fraction(sum(p[k] * e[n - k] for k in range(n + 1)), math.factorial(n))
+    return next(_chis(v, (twist,)))
 
 
 @lru_cache(maxsize=None)
 def _feasible(rank: int, dim: int, c: tuple[int, ...]) -> bool:
     v = ChernVector(rank, dim, c)
-    return all(
-        euler_characteristic(v, t).denominator == 1 for t in range(dim + 1)
-    )
+    return all(chi.denominator == 1 for chi in _chis(v, range(dim + 1)))
 
 
 def is_feasible(v: ChernVector) -> bool:

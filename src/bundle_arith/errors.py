@@ -18,9 +18,9 @@ class ConsistencyError(BundleArithError, RuntimeError):
     """
 
 
-class FormulaNotApplicableError(BundleArithError):
+class FormulaNotApplicableError(DomainError):
     """The closed-form alpha formula does not cover the given class."""
 
 
-class HorrocksUndefinedError(BundleArithError):
+class HorrocksUndefinedError(DomainError):
     """The Horrocks sum is not defined for the given pair of classes."""

@@ -5,12 +5,12 @@ Chern classes plus the Z/2 Atiyah-Rees invariant alpha, which exists
 exactly when c1 is even.  Realizable Chern pairs are those with c1*c2
 even; even-c1 pairs carry two classes (alpha = 0, 1), odd-c1 pairs one.
 
-On the set of classes with a fixed c1 the module implements one abelian
-group law per split identity e, the sum v + w - e (the plain law takes
-e = O(a1) + O, a shift b takes e = O(a1-b) + O(b)), the Horrocks-style
-sum with its alpha correction, tensoring by line bundles, and a bounded
-search demonstrating that split classes generate everything under
-twisting and Horrocks sums.
+On the set of classes with a fixed c1 = a1 the module implements one
+abelian group law per shift b, the sum v + w - e with the split
+identity e = O(a1-b) + O(b) (b = 0 is the plain law, e = O(a1) + O),
+the Horrocks-style sum with its alpha correction, tensoring by line
+bundles, and a bounded search demonstrating that split classes generate
+everything under twisting and Horrocks sums.
 
 Z/2 values are canonical integers 0/1 and every congruence uses
 Euclidean remainders, so negative inputs behave correctly.  All values
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import count
 
 from .errors import (
     ConsistencyError,
@@ -140,30 +139,27 @@ def split_rank2(x: int, y: int) -> Rank2BundleClass:
 class GroupDescriptorA1:
     """The group law on the classes with first Chern class ``a1``.
 
-    ``b is None`` selects the plain law, identity O(a1) + O; an integer
-    ``b`` selects the shifted law, identity O(a1-b) + O(b).  Either is
-    built once, as ``identity``.  The plain identity's alpha must equal
-    epsilon(a1) (the group law forces it); this is asserted here.
+    The shift ``b`` selects the identity O(a1-b) + O(b), built once as
+    ``identity``; b = 0 is the plain law, identity O(a1) + O.  The plain
+    identity's alpha must equal epsilon(a1) (the group law forces it);
+    this is asserted here.
     """
 
     a1: int
-    b: int | None = None
+    b: int = 0
     identity: Rank2BundleClass = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.a1, int):
             raise DomainError(f"a1 must be an integer, got {self.a1!r}")
-        if self.b is None:
-            e = split_rank2(self.a1, 0)
-            if e.alpha is not None and e.alpha != epsilon(self.a1):
-                raise ConsistencyError(
-                    f"alpha of the identity at a1 = {self.a1} does not equal "
-                    f"epsilon(a1); the group law cannot be consistent"
-                )
-        elif isinstance(self.b, int):
-            e = split_rank2(self.a1 - self.b, self.b)
-        else:
-            raise DomainError(f"shift b must be an integer or None, got {self.b!r}")
+        if not isinstance(self.b, int):
+            raise DomainError(f"shift b must be an integer, got {self.b!r}")
+        e = split_rank2(self.a1 - self.b, self.b)
+        if self.b == 0 and e.alpha is not None and e.alpha != epsilon(self.a1):
+            raise ConsistencyError(
+                f"alpha of the identity at a1 = {self.a1} does not equal "
+                f"epsilon(a1); the group law cannot be consistent"
+            )
         object.__setattr__(self, "identity", e)
 
 
@@ -177,7 +173,7 @@ def add(
 ) -> Rank2BundleClass:
     """Group sum v + w - e: c2(v) + c2(w) - c2(e), alpha(v) + alpha(w) + alpha(e).
 
-    e is the identity of ``g``; the plain one has c2 = 0, alpha = epsilon(a1).
+    e is the identity of ``g``; at b = 0 it has c2 = 0, alpha = epsilon(a1).
     """
     _require_member(g, v)
     _require_member(g, w)
@@ -201,9 +197,7 @@ def negate(g: GroupDescriptorA1, v: Rank2BundleClass) -> Rank2BundleClass:
 def add_shifted(
     g: GroupDescriptorA1, v: Rank2BundleClass, w: Rank2BundleClass
 ) -> Rank2BundleClass:
-    """:func:`add` for a shifted descriptor; a plain one is a domain error."""
-    if g.b is None:
-        raise DomainError("descriptor carries no shift; use add for the plain law")
+    """:func:`add` under its older name: every descriptor's law is v + w - e."""
     return add(g, v, w)
 
 
@@ -232,20 +226,11 @@ def horrocks_sum(v: Rank2BundleClass, w: Rank2BundleClass) -> Rank2BundleClass:
 def agreement_check(v: Rank2BundleClass, w: Rank2BundleClass) -> bool:
     """Whether the Horrocks sum and the plain group sum of (v, w) coincide.
 
-    Both must be defined (shared c1 <= 0).  The comparison reduces to
-    epsilon(-2n) = [n = 2 (mod 4)] with n = -c1/2; the reduction is
-    cross-checked against the direct class comparison and a mismatch
-    between the two would be a structural bug.
+    Both must be defined (shared c1 <= 0).  At c1 = -2n the two differ
+    only in alpha, by [n = 2 (mod 4)] - epsilon(-2n); that rule is what
+    :func:`agreement_sweep` reports as ``epsilon_rule_verified``.
     """
-    direct = horrocks_sum(v, w) == add(GroupDescriptorA1(v.c1), v, w)
-    if v.c1 % 2 == 0:
-        n = -v.c1 // 2
-        reduced = (1 if n % 4 == 2 else 0) == epsilon(v.c1)
-        if reduced != direct:
-            raise ConsistencyError(
-                f"class comparison and epsilon reduction disagree at c1 = {v.c1}"
-            )
-    return direct
+    return horrocks_sum(v, w) == add(GroupDescriptorA1(v.c1), v, w)
 
 
 def agreement_sweep(c1_min: int, c2_bound: int) -> tuple[int, bool, bool]:
@@ -384,11 +369,12 @@ def generation_closure(
     def in_search_box(c1: int, c2: int) -> bool:
         return s1min <= c1 <= s1max and abs(c2) <= s2
 
+    # Entries tying on (cost, c1, c2, alpha, expr) hold the same class, so
+    # the trailing class is never compared by order.
     heap: list[tuple] = []
-    tick = count()
 
     def push(cost: int, expr: str, cls: Rank2BundleClass) -> None:
-        heapq.heappush(heap, (cost, *_class_sort_key(cls), expr, next(tick), cls))
+        heapq.heappush(heap, (cost, *_class_sort_key(cls), expr, cls))
 
     for x in range(-xb, xb + 1):
         for y in range(x, xb + 1):
@@ -398,7 +384,7 @@ def generation_closure(
     settled: dict[Rank2BundleClass, tuple[int, str]] = {}
     peers_by_c1: dict[int, list[tuple[Rank2BundleClass, int, str]]] = {}
     while heap:
-        cost, _c1, _c2, _a, expr, _t, cls = heapq.heappop(heap)
+        cost, _c1, _c2, _a, expr, cls = heapq.heappop(heap)
         if cls in settled:
             continue
         settled[cls] = (cost, expr)
@@ -415,7 +401,7 @@ def generation_closure(
                 push(cost + 1, f"tensor({expr}, {k})", twisted)
 
         if cls.c1 <= 0:
-            for other, other_cost, other_expr in list(peers):
+            for other, other_cost, other_expr in peers:
                 combined = horrocks_sum(cls, other)
                 if abs(combined.c2) <= s2 and combined not in settled:
                     first, second = sorted((expr, other_expr))

@@ -58,6 +58,18 @@ class TestBasicCommands:
         assert code == EXIT_OK
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_feasible_huge_classes_exit_promptly(self, capsys, rank):
+        # the power sums are computed once per vector, not once per twist
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "--json", "feasible", str(rank), "64",
+                            *["9" * 4000] * rank)
+        assert time.perf_counter() - start < 10.0
+        assert code == EXIT_DOMAIN
+        doc = json.loads(out)  # exactly one document
+        assert doc["status"] == "domain_error"
+        assert "digits" in doc["payload"]["error"]
+
     def test_alpha_split(self, capsys):
         code, doc = run_json(capsys, "alpha", "--split", "2", "-2")
         assert code == EXIT_OK

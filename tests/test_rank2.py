@@ -62,8 +62,10 @@ class TestAlphaFormulas:
         # Delta = 2 gives Delta(Delta-1) = 2, not divisible by 12
         with pytest.raises(FormulaNotApplicableError):
             alpha_extendable(0, -2)
-        with pytest.raises(DomainError):
+        # odd c1 is a plain domain error, not the formula's own subclass
+        with pytest.raises(DomainError) as info:
             alpha_extendable(1, 0)
+        assert not isinstance(info.value, FormulaNotApplicableError)
 
     def test_divisibility_route_matches_case_rule(self):
         for b in range(-100, 101):
@@ -171,6 +173,36 @@ class TestPlainGroup:
             add(g, split_rank2(1, 1), split_rank2(0, 0))
 
 
+class TestSingleDescriptor:
+    def test_default_shift_is_zero(self):
+        rng = random.Random(31)
+        for a1 in range(-10, 11):
+            plain = GroupDescriptorA1(a1)
+            zero = GroupDescriptorA1(a1, 0)
+            assert plain == zero
+            assert hash(plain) == hash(zero)
+            assert plain.b == 0
+            assert plain.identity == zero.identity == split_rank2(a1, 0)
+
+            def cls():
+                c2 = rng.randint(-30, 30) * (2 if a1 % 2 else 1)
+                return (
+                    Rank2BundleClass(a1, c2)
+                    if a1 % 2
+                    else Rank2BundleClass(a1, c2, rng.randint(0, 1))
+                )
+
+            for _ in range(5):
+                v, w = cls(), cls()
+                assert add(plain, v, w) == add(zero, v, w)
+                assert negate(plain, v) == negate(zero, v)
+
+    @pytest.mark.parametrize("b", [None, 1.5])
+    def test_non_integer_shift_rejected(self, b):
+        with pytest.raises(DomainError):
+            GroupDescriptorA1(0, b)
+
+
 class TestShiftedGroup:
     def test_identity(self):
         rng = random.Random(17)
@@ -215,15 +247,14 @@ class TestShiftedGroup:
             rhs = add(plain, v, add_shifted(shifted, w, z))
             assert lhs == rhs
 
-    def test_add_requires_matching_variant(self):
-        # add serves every descriptor; add_shifted still needs a shift
+    def test_add_shifted_is_add(self):
+        # b = 0 included: add_shifted is add under its older name
         v = Rank2BundleClass(0, 3, 1)
         w = Rank2BundleClass(0, -7, 0)
         for b in range(-5, 6):
             g = GroupDescriptorA1(0, b)
-            assert add(g, v, w) == add_shifted(g, v, w)
-        with pytest.raises(DomainError, match="no shift"):
-            add_shifted(GroupDescriptorA1(0), v, v)
+            assert add_shifted(g, v, w) == add(g, v, w)
+            assert add_shifted(g, w, v) == add(g, w, v)
 
     def test_negate_is_plain_e_plus_e_minus_x(self):
         rng = random.Random(29)
@@ -262,6 +293,11 @@ class TestHorrocksSum:
         v = Rank2BundleClass(2, 1, 0)
         with pytest.raises(HorrocksUndefinedError):
             horrocks_sum(v, v)
+
+    def test_dedicated_errors_are_domain_errors(self):
+        # one error type for bad input: the CLI catches DomainError alone
+        assert issubclass(HorrocksUndefinedError, DomainError)
+        assert issubclass(FormulaNotApplicableError, DomainError)
 
     def test_mismatched_c1_is_domain_error(self):
         with pytest.raises(DomainError):

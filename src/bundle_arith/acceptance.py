@@ -2,9 +2,9 @@
 
 Each check re-derives its expected values from an independent oracle
 (binomials, exponential sums, exhaustive scans) or from frozen facts,
-compares them with the library's closed forms, and times itself against
-its budget.  The checks are exposed both to the test suite and to the
-``bundle-arith report`` subcommand; they are side-effect free and
+compares them with the library's closed forms; :func:`run` times each
+against its budget.  The checks are exposed both to the test suite and
+to the ``bundle-arith report`` subcommand; they are side-effect free and
 deterministic.
 """
 
@@ -36,18 +36,8 @@ class CriterionResult:
         return "PASS" if self.passed else "FAIL"
 
 
-def _result(key, t0, budget, ok, details) -> CriterionResult:
-    elapsed = time.perf_counter() - t0
-    passed = bool(ok)
-    if budget is not None and elapsed >= budget:
-        passed = False
-        details += f"; exceeded the {budget:g} s budget ({elapsed:.2f} s)"
-    return CriterionResult(key, passed, elapsed, budget, details)
-
-
-def check_realizability_law() -> CriterionResult:
+def check_realizability_law() -> tuple[bool, str]:
     """Engine feasibility on CP^3 rank 2 equals the parity rule c1*c2 = 0 (mod 2)."""
-    t0 = time.perf_counter()
     mismatches = []
     cases = 0
     for c1 in range(-50, 51):
@@ -61,28 +51,26 @@ def check_realizability_law() -> CriterionResult:
     details = f"{cases} Chern pairs with |c1|,|c2| <= 50"
     if mismatches:
         details += f"; first mismatches: {mismatches[:5]}"
-    return _result("realizability-law", t0, 10.0, ok, details)
+    return ok, details
 
 
-def check_horrocks_agreement() -> CriterionResult:
+def check_horrocks_agreement() -> tuple[bool, str]:
     """Horrocks sum equals the plain group sum wherever both are defined.
 
     Compares every pair of classes literally and requires the same
     answer from :func:`rank2.agreement_sweep`'s mod-4 argument.
     """
-    t0 = time.perf_counter()
     rows = [list(rank2.realizable_classes(c1, c1, 10)) for c1 in range(0, -41, -2)]
     checks = [rank2.agreement_check(v, w) for row in rows for v in row for w in row]
     rule = all(rank2.epsilon(-2 * n) == (1 if n % 4 == 2 else 0) for n in range(21))
     cases = len(checks)
     ok = all(checks) and rule and (cases, True, True) == rank2.agreement_sweep(-40, 10)
     details = f"{cases} pairs across c1 = 0, -2, ..., -40; epsilon rule for n = 0..20"
-    return _result("horrocks-agreement", t0, 1.0, ok, details)
+    return ok, details
 
 
-def check_alpha_case_table() -> CriterionResult:
+def check_alpha_case_table() -> tuple[bool, str]:
     """alpha of O(-b) + O(b) is 1 iff b = 2 (mod 4), by two independent routes."""
-    t0 = time.perf_counter()
     bad = []
     for b in range(-100, 101):
         closed = rank2.alpha_extendable(0, -b * b)
@@ -93,10 +81,10 @@ def check_alpha_case_table() -> CriterionResult:
     details = "both alpha routes agree with the mod-4 case rule for |b| <= 100"
     if bad:
         details = f"disagreement at b in {bad[:10]}"
-    return _result("alpha-case-table", t0, None, not bad, details)
+    return not bad, details
 
 
-def check_small_index_example() -> CriterionResult:
+def check_small_index_example() -> tuple[bool, str]:
     """End-to-end small-index example over the base O(3) + O(0).
 
     Checks, exactly as stated: the parametrized solution (1,1,0,1) gives
@@ -104,7 +92,6 @@ def check_small_index_example() -> CriterionResult:
     with |c3| <= 20 are exactly the even ones; the subgroup generated by
     the resulting class has index 6.
     """
-    t0 = time.perf_counter()
     parts = []
 
     sol = diophantine.param_family1(1, 1, 0, 1)
@@ -133,12 +120,11 @@ def check_small_index_example() -> CriterionResult:
     parts.append(f"subgroup index of {w_class.c3}: expected 6, got {index}")
 
     ok = ok_param and ok_lattice and ok_index
-    return _result("small-index-example", t0, 30.0, ok, "; ".join(parts))
+    return ok, "; ".join(parts)
 
 
-def check_nonsplit_witnesses() -> CriterionResult:
+def check_nonsplit_witnesses() -> tuple[bool, str]:
     """Multiples of split classes leave the split locus at predictable points."""
-    t0 = time.perf_counter()
     parts = []
 
     group = rank3.make_group(3, 0, 24)
@@ -166,7 +152,7 @@ def check_nonsplit_witnesses() -> CriterionResult:
             ok = False
             parts.append(f"prime witness FAILED for {sol.triple} over {sol.base}")
     parts.append("20 parametrized samples with xyz != 0 verified")
-    return _result("nonsplit-witnesses", t0, None, ok, "; ".join(parts))
+    return ok, "; ".join(parts)
 
 
 def _rand_rank2(rng, a1):
@@ -203,9 +189,8 @@ def _rank2_axioms(rng, descriptor, triples):
     return True
 
 
-def check_group_axioms() -> CriterionResult:
+def check_group_axioms() -> tuple[bool, str]:
     """Random property suites for the three group structures plus mixed associativity."""
-    t0 = time.perf_counter()
     rng = random.Random(1729)
     parts = []
 
@@ -268,12 +253,11 @@ def check_group_axioms() -> CriterionResult:
                 ok = False
             rank3_cases += 1
     parts.append(f"rank-3 law: {rank3_cases} random triples over {len(bases)} bases")
-    return _result("group-axioms", t0, None, ok, "; ".join(parts))
+    return ok, "; ".join(parts)
 
 
-def check_generation_closure() -> CriterionResult:
+def check_generation_closure() -> tuple[bool, str]:
     """Split classes generate every realizable class in the report box."""
-    t0 = time.perf_counter()
     report = rank2.generation_closure(-6, 0, 8, -12, 0, 16)
     ok = report.all_reached
     details = (
@@ -282,16 +266,15 @@ def check_generation_closure() -> CriterionResult:
     )
     if not ok:
         details += f"; UNREACHED: {[_fmt_r2(c) for c in report.unreached[:8]]}"
-    return _result("generation-closure", t0, 60.0, ok, details)
+    return ok, details
 
 
 def _fmt_r2(cls) -> str:
     return f"({cls.c1},{cls.c2},{cls.alpha if cls.alpha is not None else '-'})"
 
 
-def check_quadric_coverage() -> CriterionResult:
+def check_quadric_coverage() -> tuple[bool, str]:
     """Brute-force quadric solutions are explained by the two parametrized families."""
-    t0 = time.perf_counter()
     parts = []
     ok = True
     must_match = {(2, 2, -1), (3, 0, 0)}  # the small-index example's solutions
@@ -311,12 +294,11 @@ def check_quadric_coverage() -> CriterionResult:
             parts.append(
                 f"({a},{b}) findings: {[s.triple for s in report.unmatched]}"
             )
-    return _result("quadric-coverage", t0, 60.0, ok, "; ".join(parts))
+    return ok, "; ".join(parts)
 
 
-def check_oracle_consistency() -> CriterionResult:
+def check_oracle_consistency() -> tuple[bool, str]:
     """Chern characters match exponential sums; Euler characteristics match binomials."""
-    t0 = time.perf_counter()
     ok = True
     ch_cases = 0
     for dim in range(1, 6):
@@ -351,24 +333,34 @@ def check_oracle_consistency() -> CriterionResult:
             ok = False
         chi_cases += 1
     details = f"{ch_cases} split Chern characters, {chi_cases} Euler characteristics"
-    return _result("oracle-consistency", t0, None, ok, details)
+    return ok, details
 
 
+# key -> (check, time budget in seconds or None)
 CRITERIA = {
-    "realizability-law": check_realizability_law,
-    "horrocks-agreement": check_horrocks_agreement,
-    "alpha-case-table": check_alpha_case_table,
-    "small-index-example": check_small_index_example,
-    "nonsplit-witnesses": check_nonsplit_witnesses,
-    "group-axioms": check_group_axioms,
-    "generation-closure": check_generation_closure,
-    "quadric-coverage": check_quadric_coverage,
-    "oracle-consistency": check_oracle_consistency,
+    "realizability-law": (check_realizability_law, 10.0),
+    "horrocks-agreement": (check_horrocks_agreement, 1.0),
+    "alpha-case-table": (check_alpha_case_table, None),
+    "small-index-example": (check_small_index_example, 30.0),
+    "nonsplit-witnesses": (check_nonsplit_witnesses, None),
+    "group-axioms": (check_group_axioms, None),
+    "generation-closure": (check_generation_closure, 60.0),
+    "quadric-coverage": (check_quadric_coverage, 60.0),
+    "oracle-consistency": (check_oracle_consistency, None),
 }
 
 
 def run(key: str) -> CriterionResult:
-    return CRITERIA[key]()
+    """Run one criterion, timed; overrunning its budget fails it."""
+    check, budget = CRITERIA[key]
+    t0 = time.perf_counter()
+    ok, details = check()
+    elapsed = time.perf_counter() - t0
+    passed = bool(ok)
+    if budget is not None and elapsed >= budget:
+        passed = False
+        details += f"; exceeded the {budget:g} s budget ({elapsed:.2f} s)"
+    return CriterionResult(key, passed, elapsed, budget, details)
 
 
 def run_all(keys=None) -> list[CriterionResult]:

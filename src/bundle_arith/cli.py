@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import acceptance, cohomology, diophantine, rank2, rank3
 from .errors import ConsistencyError, DomainError
@@ -124,8 +125,9 @@ def _cmd_feasible(args):
     vector = cohomology.ChernVector(args.rank, args.dim, tuple(args.chern))
     feasible = cohomology.is_feasible(vector)
     chis = cohomology._chis(vector, range(args.dim + 1))
+    n_fact = math.factorial(args.dim)
     notes = [
-        "chi at twists 0..dim: " + ", ".join(str(c) for c in chis),
+        "chi at twists 0..dim: " + ", ".join(str(Fraction(x, n_fact)) for x in chis),
         "feasible iff every twisted chi is an integer",
     ]
     payload = {

@@ -38,11 +38,12 @@ __all__ = [
     "feasible_c3_lattice",
 ]
 
-# Largest ambient dimension accepted.  chi at all twists 0..dim costs
-# about dim^3 big-integer operations: for O(1) on a 2-core x86 VM, about
-# 0.03 s at dim 64, 0.25 s at 128 and 2.4 s at 256.  Classes of 4000
-# digits (near the input limit) make the integers huge: `feasible` at
-# dim 64 then takes about 1.5 s at rank 1 to 3 and 15 s at rank 64.
+# Largest ambient dimension accepted.  The predicate works mod dim!, so
+# its cost is bounded by dim! whatever the class size: on a 2-core x86 VM
+# cold `is_feasible` at dim 64 takes 0.03 s for O(1), 0.06 s at most (O(1)
+# takes 0.2 s at dim 128, 1.7 s at 256).  The exact chi that `feasible`
+# prints still grows with the classes: with 4000-digit classes at dim 64
+# it exits 2 in about 1 s at rank 1 to 3 and 7.4 s at rank 64.
 MAX_DIM = 64
 
 
@@ -79,12 +80,17 @@ class ChernVector:
 def split_chern_vector(dim: int, twists: tuple[int, ...] | list[int]) -> ChernVector:
     """Chern vector of O(t_1) + ... + O(t_r): elementary symmetric functions."""
     twists = tuple(twists)
-    r = len(twists)
-    e = [1] + [0] * r
-    for t in twists:
-        for i in range(r, 0, -1):
-            e[i] += e[i - 1] * t
-    return ChernVector(r, dim, tuple(e[1:]))
+    return ChernVector(len(twists), dim, tuple(_elementary(twists)[1:]))
+
+
+def _elementary(xs: Iterable[int]) -> list[int]:
+    """Elementary symmetric functions e_0..e_m of the m integers ``xs``."""
+    e = [1]
+    for x in xs:
+        e.append(0)
+        for j in range(len(e) - 1, 0, -1):
+            e[j] += e[j - 1] * x
+    return e
 
 
 def _power_sums(v: ChernVector) -> list[int]:
@@ -110,8 +116,8 @@ def chern_character(v: ChernVector) -> tuple[Fraction, ...]:
     )
 
 
-def _chis(v: ChernVector, twists: Iterable[int]) -> Iterator[Fraction]:
-    """chi(v(t)) for each t in ``twists``, lazily, from one set of power sums.
+def _chis(v: ChernVector, twists: Iterable[int]) -> Iterator[int]:
+    """The integers n! * chi(v(t)) for each t in ``twists``, lazily.
 
     n! * chi = sum_k p_k * e_{n-k}(t + 1, ..., t + n), with n = dim.  The
     power sums are the costly part for large classes (p_k grows like
@@ -120,24 +126,25 @@ def _chis(v: ChernVector, twists: Iterable[int]) -> Iterator[Fraction]:
     n = v.dim
     p = _power_sums(v)
     for t in twists:
-        e = [1] + [0] * n
-        for i in range(1, n + 1):
-            for j in range(i, 0, -1):
-                e[j] += e[j - 1] * (t + i)
-        yield Fraction(sum(p[k] * e[n - k] for k in range(n + 1)), math.factorial(n))
+        e = _elementary(range(t + 1, t + n + 1))
+        yield sum(p[k] * e[n - k] for k in range(n + 1))
 
 
 def euler_characteristic(v: ChernVector, twist: int = 0) -> Fraction:
     """chi(v tensor O(twist)) on CP^dim, as an exact rational."""
     if not isinstance(twist, int):
         raise DomainError(f"twist must be an integer, got {twist!r}")
-    return next(_chis(v, (twist,)))
+    return Fraction(next(_chis(v, (twist,))), math.factorial(v.dim))
 
 
 @lru_cache(maxsize=None)
 def _feasible(rank: int, dim: int, c: tuple[int, ...]) -> bool:
-    v = ChernVector(rank, dim, c)
-    return all(chi.denominator == 1 for chi in _chis(v, range(dim + 1)))
+    # Newton's recurrence has integer coefficients, so n! * chi is an
+    # integer polynomial in c_1..c_rank and its residue mod n! depends
+    # only on the classes mod n!: the power sums stay small.
+    m = math.factorial(dim)
+    v = ChernVector(rank, dim, tuple(ci % m for ci in c))
+    return all(x % m == 0 for x in _chis(v, range(dim + 1)))
 
 
 def is_feasible(v: ChernVector) -> bool:
@@ -156,10 +163,11 @@ def feasible_c3_lattice(c1: int, c2: int, scan: int) -> int:
 
     Requires the identity data (c1, c2, 0) to be feasible.  On CP^5 the
     power sums p_1..p_5 are affine in c3 (c3^2 first enters p_6), so
-    chi(c1, c2, c3; t) = chi(c1, c2, 0; t) + c3 * s(t) with
-    s(t) = chi(c1, c2, 1; t) - chi(c1, c2, 0; t).  Over a feasible base
-    the feasible c3 are therefore exactly dZ, d the lcm of the
-    denominators of s(0..5).  In fact d = d8 * d3, with d8 = 8 when the
+    chi(c1, c2, c3; t) = chi(c1, c2, 0; t) + c3 * s(t).  Over a feasible
+    base 120 * chi(c1, c2, 0; t) = 0 (mod 120), so 120 * chi(c1, c2, 1; t)
+    = 120 * s(t) (mod 120), and the feasible c3 are exactly dZ with
+    d = 120 / gcd(120, 120 * chi(c1, c2, 1; t) for t = 0..5): one pass
+    of integer Riemann-Roch.  In fact d = d8 * d3, with d8 = 8 when the
     base allows only c3 = 0 mod 8 and 4 otherwise, and d3 = 1 when
     (c1, c2) = (0, 0) mod 3 and 3 otherwise; the tests pin both tables.
     ``scan`` caps d: a spacing larger than ``scan`` means the window
@@ -173,11 +181,7 @@ def feasible_c3_lattice(c1: int, c2: int, scan: int) -> int:
         raise DomainError(
             f"identity Chern data ({c1}, {c2}, 0) is not feasible on CP^5"
         )
-    unit = ChernVector(3, 5, (c1, c2, 1))
-    d = 1
-    for t in range(6):
-        step = euler_characteristic(unit, t) - euler_characteristic(base, t)
-        d = math.lcm(d, step.denominator)
+    d = 120 // math.gcd(120, *_chis(ChernVector(3, 5, (c1, c2, 1)), range(6)))
     if d > scan:
         raise ConsistencyError(
             f"only c3 = 0 is feasible for ({c1}, {c2}) within |c3| <= {scan}; "

@@ -26,3 +26,12 @@ def test_criterion(key):
     line = f"[{result.status}] {result.key}: {result.details}"
     print(line)
     assert result.passed, line
+
+
+def test_overrunning_the_budget_fails(monkeypatch):
+    monkeypatch.setitem(acceptance.CRITERIA, "alpha-case-table", (lambda: (True, "x"), 0.0))
+    result = acceptance.run("alpha-case-table")
+    assert not result.passed
+    assert isinstance(result.elapsed, float) and result.elapsed >= 0
+    assert result.budget == 0.0
+    assert result.details.startswith("x; exceeded the 0 s budget (")

@@ -10,6 +10,7 @@ log c(V) rather than Newton's identities.
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -18,6 +19,7 @@ import pytest
 from bundle_arith.cohomology import (
     MAX_DIM,
     ChernVector,
+    _feasible,
     chern_character,
     euler_characteristic,
     feasible_c3_lattice,
@@ -240,6 +242,34 @@ class TestFeasibility:
         for n in range(1, 6):
             for twists in multisets:
                 assert is_feasible(split_chern_vector(n, twists))
+
+    def test_mod_factorial_matches_fraction_oracle(self):
+        # the literal definition: chi(v(t)) is an integer at t = 0..dim
+        _feasible.cache_clear()
+        rng = random.Random(20261018)
+        verdicts = []
+        for _ in range(1500):
+            rank, dim = rng.randint(1, 6), rng.randint(1, 10)
+            bound = rng.choice((3, 10**30))
+            c = [rng.randint(-bound, bound) for _ in range(rank)]
+            if rng.random() < 0.5:
+                # a split vector, moved off the lattice about half the time
+                c = list(split_chern_vector(dim, c).c)
+                c[rng.randrange(rank)] += rng.choice((0, rng.randint(-bound, bound)))
+            v = ChernVector(rank, dim, tuple(c))
+            expected = all(
+                euler_characteristic(v, t).denominator == 1 for t in range(dim + 1)
+            )
+            assert is_feasible(v) == expected, v
+            verdicts.append(expected)
+        assert 200 < sum(verdicts) < 1300
+
+    def test_huge_classes_decided_promptly(self):
+        _feasible.cache_clear()
+        v = ChernVector(64, 64, (int("9" * 4000),) * 64)
+        t0 = time.perf_counter()
+        is_feasible(v)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_tensor_shift_invariance(self):
         for c1 in range(-6, 7):

@@ -1,7 +1,9 @@
 """Tests for rank-2 classes, their group laws, and the generation search."""
 
+import heapq
 import random
 import time
+from functools import lru_cache
 
 import pytest
 
@@ -11,8 +13,11 @@ from bundle_arith.errors import (
     HorrocksUndefinedError,
 )
 from bundle_arith.rank2 import (
+    MAX_SEARCH_EXTENT,
+    GenerationReport,
     GroupDescriptorA1,
     Rank2BundleClass,
+    ReachedClass,
     add,
     add_shifted,
     agreement_check,
@@ -25,6 +30,7 @@ from bundle_arith.rank2 import (
     generation_closure,
     horrocks_sum,
     negate,
+    realizable_classes,
     split_rank2,
     tensor_line,
 )
@@ -430,9 +436,10 @@ class TestGenerationClosure:
             generation_closure(-4, 0, 8, search_c2_bound=2)
 
     def test_search_box_cap(self):
-        # the doubled acceptance box, c1 in [-24, 0] with |c2| <= 32, sits at the cap
+        # the doubled acceptance box, c1 in [-24, 0] with |c2| <= 32, is under the cap
         assert generation_closure(-12, 0, 16, -24, 0, 32).all_reached
-        for box in ((-12, 0, 16, -24, 0, 33), (-(10**6), 0, 0)):
+        over_cap = MAX_SEARCH_EXTENT - 24 + 1
+        for box in ((-12, 0, 16, -24, 0, over_cap), (-(10**6), 0, 0)):
             with pytest.raises(DomainError, match="exceeds"):
                 generation_closure(*box)
 
@@ -440,3 +447,104 @@ class TestGenerationClosure:
         a = generation_closure(-4, 0, 6, -8, 0, 10)
         b = generation_closure(-4, 0, 6, -8, 0, 10)
         assert a == b
+
+
+@lru_cache(maxsize=None)
+def _object_search(s1min, s1max, s2):
+    """The uniform-cost search of the object-based closure, kept as an oracle.
+
+    Returns the settled classes, in settling order, with their cost and
+    witness.  Cached per search box: boxes sharing one search the same.
+    """
+    xb = max(abs(s1min), abs(s1max)) + s2
+
+    def in_search_box(c1, c2):
+        return s1min <= c1 <= s1max and abs(c2) <= s2
+
+    heap = []
+
+    def push(cost, expr, cls):
+        key = (cls.c1, cls.c2, -1 if cls.alpha is None else cls.alpha)
+        heapq.heappush(heap, (cost, *key, expr, cls))
+
+    for x in range(-xb, xb + 1):
+        for y in range(x, xb + 1):
+            if in_search_box(x + y, x * y):
+                push(0, f"split({x},{y})", split_rank2(x, y))
+
+    settled = {}
+    peers_by_c1 = {}
+    while heap:
+        cost, _c1, _c2, _a, expr, cls = heapq.heappop(heap)
+        if cls in settled:
+            continue
+        settled[cls] = (cost, expr)
+        peers = peers_by_c1.setdefault(cls.c1, [])
+        peers.append((cls, cost, expr))
+
+        k_lo = -((cls.c1 - s1min) // 2)
+        k_hi = (s1max - cls.c1) // 2
+        for k in range(k_lo, k_hi + 1):
+            if k == 0:
+                continue
+            twisted = tensor_line(cls, k)
+            if abs(twisted.c2) <= s2 and twisted not in settled:
+                push(cost + 1, f"tensor({expr}, {k})", twisted)
+
+        if cls.c1 <= 0:
+            for other, other_cost, other_expr in peers:
+                combined = horrocks_sum(cls, other)
+                if abs(combined.c2) <= s2 and combined not in settled:
+                    first, second = sorted((expr, other_expr))
+                    push(
+                        cost + other_cost + 1,
+                        f"horrocks({first}, {second})",
+                        combined,
+                    )
+    return settled
+
+
+def _object_closure(c1_min, c1_max, c2_bound, s1min=None, s1max=None, s2=None):
+    """generation_closure on validated class objects: the oracle for the int search."""
+    s1min = c1_min if s1min is None else s1min
+    s1max = c1_max if s1max is None else s1max
+    s2 = c2_bound if s2 is None else s2
+    settled = _object_search(s1min, s1max, s2)
+    reached = []
+    unreached = []
+    for cls in realizable_classes(c1_min, c1_max, c2_bound):
+        if cls in settled:
+            cost, expr = settled[cls]
+            reached.append(ReachedClass(cls, cost, expr))
+        else:
+            unreached.append(cls)
+    return GenerationReport(
+        c1_min=c1_min,
+        c1_max=c1_max,
+        c2_bound=c2_bound,
+        search_c1_min=s1min,
+        search_c1_max=s1max,
+        search_c2_bound=s2,
+        reached=tuple(reached),
+        unreached=tuple(unreached),
+        searched=len(settled),
+    )
+
+
+# Odd and positive c1, unreached classes, and the doubled box at two report sizes
+ORACLE_BOXES = [
+    (-6, 0, 8, -12, 0, 16),
+    (-12, 0, 16, -24, 0, 32),
+    (-3, 3, 4, -9, 5, 10),
+    (0, 0, 2),
+    (-4, -4, 0, None, None, 10),
+    (5, 9, 6, 1, 15, 12),
+    (-24, 0, 32),
+    (0, 6, 5, -3, 8, 12),
+]
+
+
+@pytest.mark.parametrize("box", ORACLE_BOXES, ids=str)
+def test_closure_matches_object_oracle(box):
+    # classes, costs, witness strings, unreached classes and the states count
+    assert generation_closure(*box) == _object_closure(*box)

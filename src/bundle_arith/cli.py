@@ -124,7 +124,7 @@ def _epsilon_note(a1: int) -> str:
 def _cmd_feasible(args):
     vector = cohomology.ChernVector(args.rank, args.dim, tuple(args.chern))
     feasible = cohomology.is_feasible(vector)
-    chis = cohomology._chis(vector, range(args.dim + 1))
+    chis = cohomology._chis(vector.rank, vector.dim, vector.c, range(args.dim + 1))
     n_fact = math.factorial(args.dim)
     notes = [
         "chi at twists 0..dim: " + ", ".join(str(Fraction(x, n_fact)) for x in chis),

@@ -9,9 +9,10 @@ Methods in Algebraic Geometry*, Appendix One)
 
     n! * chi(V(t)) = sum_k p_k * e_{n-k}(t + 1, ..., t + n),
 
-e_j the elementary symmetric functions; no Todd class is needed.  The
+e_j the elementary symmetric functions; no Todd class is needed, and a
+row cache holds the rows e(t + 1, ..., t + n), t = 0..n, once per n.  The
 integrality predicate deciding which integer tuples can occur as Chern
-classes of a topological bundle rests on it.
+classes of a topological bundle rests on this identity.
 
 Everything is exact: no floats, no rounding, arbitrary-precision
 integers throughout.  All values are immutable and all functions pure,
@@ -25,6 +26,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import ConsistencyError, DomainError
 
@@ -39,11 +41,11 @@ __all__ = [
 ]
 
 # Largest ambient dimension accepted.  The predicate works mod dim!, so
-# its cost is bounded by dim! whatever the class size: on a 2-core x86 VM
-# cold `is_feasible` at dim 64 takes 0.03 s for O(1), 0.06 s at most (O(1)
-# takes 0.2 s at dim 128, 1.7 s at 256).  The exact chi that `feasible`
-# prints still grows with the classes: with 4000-digit classes at dim 64
-# it exits 2 in about 1 s at rank 1 to 3 and 7.4 s at rank 64.
+# its cost is bounded whatever the class size.  On a 2-core x86 VM, at
+# dim 64 the row cache takes 0.03 s to build once (1.7 s at dim 256), then
+# a cold `is_feasible` takes 4 ms at most.  The exact chi that `feasible`
+# prints grows with the classes: with 4000-digit classes at dim 64 it
+# exits 2 in 0.6 s at rank 1, 1.2 s at rank 3 and 7.4 s at rank 64.
 MAX_DIM = 64
 
 
@@ -93,58 +95,64 @@ def _elementary(xs: Iterable[int]) -> list[int]:
     return e
 
 
-def _power_sums(v: ChernVector) -> list[int]:
-    """Power sums p_0..p_dim of the Chern roots of ``v``, with p_0 = rank.
+def _power_sums(rank: int, dim: int, c: tuple[int, ...], m: int = 0) -> list[int]:
+    """Power sums p_0..p_dim of the Chern roots (p_0 = rank), mod m if m > 0.
 
-    Newton's recurrence p_k = c_1 p_{k-1} - c_2 p_{k-2} + ... +- k c_k;
-    classes above the ambient dimension do not contribute.
+    Newton's recurrence p_k = s_1 p_{k-1} + ... + s_{k-1} p_1 + k s_k, with
+    the signs folded into s_i = (-1)^(i+1) c_i, has integer coefficients,
+    so mod m every p_k stays below m however large the classes.  Classes
+    above the ambient dimension do not contribute.
     """
-    c = v.c[: v.dim]
-    p = [v.rank]
-    for k in range(1, v.dim + 1):
-        acc = (-1) ** (k + 1) * k * c[k - 1] if k <= len(c) else 0
-        for i, ci in enumerate(c[: k - 1], start=1):
-            acc += (-1) ** (i + 1) * ci * p[k - i]
-        p.append(acc)
-    return p
+    s = [-ci if i % 2 == 0 else ci for i, ci in enumerate(c[:dim], start=1)]
+    s = [si % m for si in s] if m else s
+    back = []  # p_{k-1}, ..., p_1
+    for k in range(1, dim + 1):
+        acc = sum(map(mul, s, back), k * s[k - 1] if k <= len(s) else 0)
+        back.insert(0, acc % m if m else acc)
+    return [rank, *reversed(back)]
 
 
 def chern_character(v: ChernVector) -> tuple[Fraction, ...]:
     """Chern character ch_0..ch_dim of ``v``: ch_k = p_k / k!, ch_0 = rank."""
-    return tuple(
-        Fraction(pk, math.factorial(k)) for k, pk in enumerate(_power_sums(v))
-    )
+    p = _power_sums(v.rank, v.dim, v.c)
+    return tuple(Fraction(pk, math.factorial(k)) for k, pk in enumerate(p))
 
 
-def _chis(v: ChernVector, twists: Iterable[int]) -> Iterator[int]:
-    """The integers n! * chi(v(t)) for each t in ``twists``, lazily.
+@lru_cache(maxsize=None)
+def _rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The row cache: row t holds e_{n-k}(t + 1, ..., t + n), k = 0..n, t = 0..n."""
+    return tuple(tuple(_elementary(range(t + 1, t + n + 1))[::-1]) for t in range(n + 1))
 
-    n! * chi = sum_k p_k * e_{n-k}(t + 1, ..., t + n), with n = dim.  The
-    power sums are the costly part for large classes (p_k grows like
-    c^k), so they are computed once per vector, not once per twist.
+
+def _chis(
+    rank: int, dim: int, c: tuple[int, ...], twists: Iterable[int], m: int = 0
+) -> Iterator[int]:
+    """The integers n! * chi(v(t)), v = (rank, dim, c), for t in ``twists``.
+
+    n! * chi = sum_k p_k * e_{n-k}(t + 1, ..., t + n), with n = dim; with
+    m > 0 each is only right mod m.  The power sums, costly for large
+    classes, are computed once per vector, and the rows of t = 0..dim come
+    from the row cache :func:`_rows`; any other twist builds its own row.
     """
-    n = v.dim
-    p = _power_sums(v)
+    p = _power_sums(rank, dim, c, m)
+    rows = _rows(dim)
     for t in twists:
-        e = _elementary(range(t + 1, t + n + 1))
-        yield sum(p[k] * e[n - k] for k in range(n + 1))
+        row = rows[t] if 0 <= t <= dim else _elementary(range(t + 1, t + dim + 1))[::-1]
+        yield sum(map(mul, p, row))
 
 
 def euler_characteristic(v: ChernVector, twist: int = 0) -> Fraction:
     """chi(v tensor O(twist)) on CP^dim, as an exact rational."""
     if not isinstance(twist, int):
         raise DomainError(f"twist must be an integer, got {twist!r}")
-    return Fraction(next(_chis(v, (twist,))), math.factorial(v.dim))
+    return Fraction(next(_chis(v.rank, v.dim, v.c, (twist,))), math.factorial(v.dim))
 
 
 @lru_cache(maxsize=None)
 def _feasible(rank: int, dim: int, c: tuple[int, ...]) -> bool:
-    # Newton's recurrence has integer coefficients, so n! * chi is an
-    # integer polynomial in c_1..c_rank and its residue mod n! depends
-    # only on the classes mod n!: the power sums stay small.
+    # n! * chi is an integer polynomial in the classes: mod n! it reads their residues
     m = math.factorial(dim)
-    v = ChernVector(rank, dim, tuple(ci % m for ci in c))
-    return all(x % m == 0 for x in _chis(v, range(dim + 1)))
+    return all(x % m == 0 for x in _chis(rank, dim, c, range(dim + 1), m))
 
 
 def is_feasible(v: ChernVector) -> bool:
@@ -170,6 +178,8 @@ def feasible_c3_lattice(c1: int, c2: int, scan: int) -> int:
     of integer Riemann-Roch.  In fact d = d8 * d3, with d8 = 8 when the
     base allows only c3 = 0 mod 8 and 4 otherwise, and d3 = 1 when
     (c1, c2) = (0, 0) mod 3 and 3 otherwise; the tests pin both tables.
+    The pass runs on (c1, c2) mod 120: 120 * chi is an integer polynomial
+    in the classes, and d reads only its residues mod 120.
     ``scan`` caps d: a spacing larger than ``scan`` means the window
     |c3| <= scan holds no nonzero feasible value, and raises
     :class:`ConsistencyError`.
@@ -181,7 +191,7 @@ def feasible_c3_lattice(c1: int, c2: int, scan: int) -> int:
         raise DomainError(
             f"identity Chern data ({c1}, {c2}, 0) is not feasible on CP^5"
         )
-    d = 120 // math.gcd(120, *_chis(ChernVector(3, 5, (c1, c2, 1)), range(6)))
+    d = 120 // math.gcd(120, *_chis(3, 5, (c1, c2, 1), range(6), 120))
     if d > scan:
         raise ConsistencyError(
             f"only c3 = 0 is feasible for ({c1}, {c2}) within |c3| <= {scan}; "

@@ -515,3 +515,26 @@ def test_cli_fuzz(capsys):
             assert elapsed < 1.0, (argv, elapsed)
     for cap in SIZE_CAPS:
         assert any(e.endswith(f"exceeds {cap}") for e in errors), cap
+
+
+def test_cli_fuzz_large_rank(capsys):
+    # rank is uncapped and classes above dim are dropped: large ranks with
+    # unit classes answer promptly, or exit 2 on a wrong class count
+    rng = random.Random(4)
+    draws = []
+    for _ in range(12):
+        rank = rng.choice((rng.randint(65, 2000), rng.randint(2000, 20000), 20000))
+        dim = rng.choice((rng.randint(1, 64), 64))
+        count = rank + rng.choice((0, 0, 0, -1, 1))
+        draws.append((rank, dim, [rng.choice((-1, 0, 1)) for _ in range(count)]))
+    draws.append((20000, 64, [0] * 20000))  # the trivial bundle, feasible
+    for rank, dim, classes in draws:
+        argv = ["--json", "feasible", str(rank), str(dim), *map(str, classes)]
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        doc = json.loads(capsys.readouterr().out)
+        assert code == (EXIT_OK if len(classes) == rank else EXIT_DOMAIN), (rank, dim)
+        assert doc["status"] == ("ok" if code == EXIT_OK else "domain_error")
+        assert elapsed < 1.0, (rank, dim, elapsed)
+    assert doc["payload"]["feasible"]

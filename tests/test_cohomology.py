@@ -205,6 +205,21 @@ class TestEulerCharacteristic:
             )
             assert diff == 0
 
+    def test_split_binomial_sum_outside_cached_twists(self):
+        # chi(O(x)) = C(n + x, n), by Serre duality (-1)^n C(-x - 1, n) for
+        # x < -n; the twists lie outside 0..dim, where no cached row exists
+        def binomial(n, x):
+            return math.comb(n + x, n) if x >= -n else (-1) ** n * math.comb(-x - 1, n)
+
+        rng = random.Random(61)
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            twists = tuple(rng.randint(-10, 10) for _ in range(rng.randint(1, 4)))
+            v = split_chern_vector(n, twists)
+            for t in (rng.randint(-40, -1), rng.randint(n + 1, n + 40), 10**6, -(10**6)):
+                expected = sum(binomial(n, a + t) for a in twists)
+                assert euler_characteristic(v, t) == expected, (v, t)
+
     def test_matches_series_oracle(self):
         rng = random.Random(20230214)
         for _ in range(20_000):
@@ -325,6 +340,32 @@ class TestC3Lattice:
                 with pytest.raises(ConsistencyError):
                     feasible_c3_lattice(c1, c2, d - 1)
         assert bases == 117
+        assert spacings == {4, 8, 12, 24}
+
+    def test_large_bases_match_window_scan(self):
+        # the benchmark's range of bases and 30-digit ones, against a literal
+        # scan with the Fraction form of chi: feasible iff chi(v(t)) is an
+        # integer at t = 0..5
+        def feasible(c):
+            v = ChernVector(3, 5, c)
+            return all(euler_characteristic(v, t).denominator == 1 for t in range(6))
+
+        rng = random.Random(120)
+        ranges = [((2 * 10**4, 10**5), (-(10**6), 10**6))] * 40
+        ranges += [((-(10**30), 10**30), (-(10**30), 10**30))] * 12
+        spacings = set()
+        for c1_range, c2_range in ranges:
+            c1, c2 = rng.randint(*c1_range), rng.randint(*c2_range)
+            while not feasible((c1, c2, 0)):
+                with pytest.raises(DomainError):
+                    feasible_c3_lattice(c1, c2, 24)
+                c1, c2 = rng.randint(*c1_range), rng.randint(*c2_range)
+            d = feasible_c3_lattice(c1, c2, 24)
+            spacings.add(d)
+            window = [k for k in range(-24, 25) if feasible((c1, c2, k))]
+            assert window == [k for k in range(-24, 25) if k % d == 0], (c1, c2)
+            with pytest.raises(ConsistencyError):
+                feasible_c3_lattice(c1, c2, d - 1)
         assert spacings == {4, 8, 12, 24}
 
     def test_scan_too_small_fails_loudly(self):

@@ -15,6 +15,12 @@ everything under twisting and Horrocks sums.
 Z/2 values are canonical integers 0/1 and every congruence uses
 Euclidean remainders, so negative inputs behave correctly.  All values
 are immutable and all functions pure.
+
+Classes are validated where callers build them: the constructor rejects
+non-integer Chern classes, unrealizable pairs and any alpha that is not
+the int 0 or 1 (or None at odd c1).  The laws' results are valid by
+proof, as each law's docstring says, so the laws build them with the
+private :func:`_class` and skip that re-check.
 """
 
 from __future__ import annotations
@@ -115,12 +121,19 @@ class Rank2BundleClass:
                 "c1*c2 must be even"
             )
         if self.c1 % 2 == 0:
-            if self.alpha not in (0, 1):
+            if type(self.alpha) is not int or self.alpha not in (0, 1):
                 raise DomainError(
                     f"alpha in {{0, 1}} is required when c1 is even, got {self.alpha!r}"
                 )
         elif self.alpha is not None:
             raise DomainError(f"alpha is not defined for odd c1 = {self.c1}")
+
+
+def _class(c1: int, c2: int, alpha: int | None = None) -> Rank2BundleClass:
+    """A class built without validation, for law results valid by proof."""
+    v = object.__new__(Rank2BundleClass)
+    v.__dict__.update(c1=c1, c2=c2, alpha=alpha)
+    return v
 
 
 def split_rank2(x: int, y: int) -> Rank2BundleClass:
@@ -175,24 +188,29 @@ def add(
     """Group sum v + w - e: c2(v) + c2(w) - c2(e), alpha(v) + alpha(w) + alpha(e).
 
     e is the identity of ``g``; at b = 0 it has c2 = 0, alpha = epsilon(a1).
+    The sum needs no re-check: for odd a1, e and both summands have even
+    c2 (e = O(a1 - b) + O(b) has one even twist), so c2 stays even, and
+    for even a1 the alpha is a sum of ints mod 2.
     """
     _require_member(g, v)
     _require_member(g, w)
     e = g.identity
     c2 = v.c2 + w.c2 - e.c2
     if e.alpha is None:
-        return Rank2BundleClass(g.a1, c2)
-    return Rank2BundleClass(g.a1, c2, (v.alpha + w.alpha + e.alpha) % 2)
+        return _class(g.a1, c2)
+    return _class(g.a1, c2, (v.alpha + w.alpha + e.alpha) % 2)
 
 
 def negate(g: GroupDescriptorA1, v: Rank2BundleClass) -> Rank2BundleClass:
     """Inverse under v + w - e: (a1, 2 c2(e) - c2(v), alpha(v)).
 
     add(v, x) = e fixes c2(x) = 2 c2(e) - c2(v), and alpha(v) +
-    alpha(x) + alpha(e) = alpha(e) forces alpha(x) = alpha(v).
+    alpha(x) + alpha(e) = alpha(e) forces alpha(x) = alpha(v).  The
+    inverse needs no re-check: for odd a1, c2(v) is even, so
+    2 c2(e) - c2(v) is too, and alpha is carried over.
     """
     _require_member(g, v)
-    return Rank2BundleClass(g.a1, 2 * g.identity.c2 - v.c2, v.alpha)
+    return _class(g.a1, 2 * g.identity.c2 - v.c2, v.alpha)
 
 
 def add_shifted(
@@ -208,7 +226,9 @@ def horrocks_sum(v: Rank2BundleClass, w: Rank2BundleClass) -> Rank2BundleClass:
     c2 is additive.  For even c1 = -2n, alpha is additive when n is odd
     or n = 0 (mod 4) and picks up an extra 1 when n = 2 (mod 4).
     Positive shared c1 leaves no regular sections to glue along, so the
-    sum is undefined there.
+    sum is undefined there.  The sum needs no re-check: for odd c1 both
+    summands have even c2, so their sum is even, and for even c1 the
+    alpha is a sum of ints mod 2.
     """
     if v.c1 != w.c1:
         raise DomainError(f"summands must share c1, got {v.c1} and {w.c1}")
@@ -218,8 +238,8 @@ def horrocks_sum(v: Rank2BundleClass, w: Rank2BundleClass) -> Rank2BundleClass:
         )
     c2 = v.c2 + w.c2
     if v.c1 % 2:
-        return Rank2BundleClass(v.c1, c2)
-    return Rank2BundleClass(v.c1, c2, (v.alpha + w.alpha + _horrocks_bump(v.c1)) % 2)
+        return _class(v.c1, c2)
+    return _class(v.c1, c2, (v.alpha + w.alpha + _horrocks_bump(v.c1)) % 2)
 
 
 def _horrocks_bump(c1: int) -> int:
@@ -274,11 +294,12 @@ def tensor_line(v: Rank2BundleClass, k: int) -> Rank2BundleClass:
 
     alpha depends only on the class normalized to c1 = 0, which is
     unchanged by further twisting, and the parity of c1 is preserved so
-    alpha's presence is too.
+    alpha's presence is too.  The result needs no re-check: for odd c1,
+    k(c1 + k) is even (k or c1 + k is), so c2 keeps its even parity.
     """
     if not isinstance(k, int):
         raise DomainError(f"twist must be an integer, got {k!r}")
-    return Rank2BundleClass(*_twist(v.c1, v.c2, k), v.alpha)
+    return _class(*_twist(v.c1, v.c2, k), v.alpha)
 
 
 def _twist(c1: int, c2: int, k: int) -> tuple[int, int]:
@@ -332,16 +353,16 @@ def _class_sort_key(cls: Rank2BundleClass) -> tuple[int, int, int]:
 
 
 def realizable_classes(c1_min: int, c1_max: int, c2_bound: int):
-    """All realizable classes in the box, in sorted order."""
+    """All realizable classes in the box, in sorted order; valid by construction."""
     for c1 in range(c1_min, c1_max + 1):
         for c2 in range(-c2_bound, c2_bound + 1):
             if (c1 * c2) % 2:
                 continue
             if c1 % 2 == 0:
-                yield Rank2BundleClass(c1, c2, 0)
-                yield Rank2BundleClass(c1, c2, 1)
+                yield _class(c1, c2, 0)
+                yield _class(c1, c2, 1)
             else:
-                yield Rank2BundleClass(c1, c2)
+                yield _class(c1, c2)
 
 
 def generation_closure(

@@ -12,6 +12,12 @@ adds on c3.  The module also decides split realizability by exact
 integer root isolation of the characteristic cubic, finds non-split
 multiples, and produces the prime witness showing subgroups generated
 by split classes contain non-split members.
+
+Classes are validated where callers build them: the constructor runs
+the integrality predicate.  The laws' results are valid by proof (the
+feasible c3 over a base are exactly dZ, closed under sums and
+multiples), so the laws build them with the private :func:`_class` and
+skip that re-check.
 """
 
 from __future__ import annotations
@@ -64,6 +70,13 @@ class Rank3BundleClass:
     def rho(self) -> str:
         """The Z/3 refinement is intentionally untracked; never a value."""
         return RHO_UNTRACKED
+
+
+def _class(c1: int, c2: int, c3: int) -> Rank3BundleClass:
+    """A class built without validation, for law results valid by proof."""
+    v = object.__new__(Rank3BundleClass)
+    v.__dict__.update(c1=c1, c2=c2, c3=c3)
+    return v
 
 
 def split_rank3(x: int, y: int, z: int) -> Rank3BundleClass:
@@ -171,18 +184,27 @@ def _require_member(g: GroupDescriptorV0, v: Rank3BundleClass) -> None:
 def add(
     g: GroupDescriptorV0, v: Rank3BundleClass, w: Rank3BundleClass
 ) -> Rank3BundleClass:
-    """Group sum: c1 and c2 stay fixed, c3 adds."""
+    """Group sum: c1 and c2 stay fixed, c3 adds.
+
+    The sum needs no re-check: the feasible c3 over the base are exactly
+    dZ (see :func:`feasible_c3_lattice`), so the sum of two feasible c3
+    is feasible.
+    """
     _require_member(g, v)
     _require_member(g, w)
-    return Rank3BundleClass(g.base_c1, g.base_c2, v.c3 + w.c3)
+    return _class(g.base_c1, g.base_c2, v.c3 + w.c3)
 
 
 def iterate(g: GroupDescriptorV0, w: Rank3BundleClass, n: int) -> Rank3BundleClass:
-    """n-fold group sum of w with itself: c3 becomes n * c3(w)."""
+    """n-fold group sum of w with itself: c3 becomes n * c3(w).
+
+    The result needs no re-check: the feasible c3 over the base are
+    exactly dZ, so n * c3(w) is feasible with c3(w).
+    """
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"iteration count must be a positive integer, got {n!r}")
     _require_member(g, w)
-    return Rank3BundleClass(g.base_c1, g.base_c2, n * w.c3)
+    return _class(g.base_c1, g.base_c2, n * w.c3)
 
 
 def smallest_nonsplit_multiple(

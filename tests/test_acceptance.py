@@ -15,9 +15,12 @@ The computed lattice is 4Z and the resulting subgroup index 3.  The
 check is kept exactly as stated and reports the mismatch.
 """
 
+import math
+from fractions import Fraction
+
 import pytest
 
-from bundle_arith import acceptance
+from bundle_arith import acceptance, cohomology
 
 
 @pytest.mark.parametrize("key", list(acceptance.CRITERIA), ids=str)
@@ -35,3 +38,23 @@ def test_overrunning_the_budget_fails(monkeypatch):
     assert isinstance(result.elapsed, float) and result.elapsed >= 0
     assert result.budget == 0.0
     assert result.details.startswith("x; exceeded the 0 s budget (")
+
+
+@pytest.mark.parametrize(
+    "target,k",
+    [((1, 1, (-10,)), 0), ((3, 5, (30, 300, 1000)), 5)],
+    ids=["first-input-ch0", "last-input-ch5"],
+)
+def test_oracle_catches_one_wrong_chern_character(monkeypatch, target, k):
+    # A library wrong in one coefficient of one input of the sweep
+    real = cohomology.chern_character
+
+    def wrong(v):
+        ch = real(v)
+        if (v.rank, v.dim, v.c) != target:
+            return ch
+        return (*ch[:k], ch[k] + Fraction(1, math.factorial(v.dim + 1)), *ch[k + 1:])
+
+    monkeypatch.setattr(cohomology, "chern_character", wrong)
+    ok, _ = acceptance.check_oracle_consistency()
+    assert not ok

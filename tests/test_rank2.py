@@ -104,6 +104,14 @@ class TestSplitAndClassValidation:
         with pytest.raises(DomainError):
             Rank2BundleClass(0, 0, 2)  # alpha must be 0/1
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, True, False])
+    def test_alpha_must_be_an_int(self, alpha):
+        # 0.0 == 0 and True == 1, but only the ints 0 and 1 are Z/2 values
+        with pytest.raises(DomainError):
+            Rank2BundleClass(0, 0, alpha)
+        with pytest.raises(DomainError):
+            Rank2BundleClass(-4, 3, alpha)
+
 
 class TestPlainGroup:
     def test_identity_alpha_is_epsilon(self):

@@ -16,6 +16,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import cohomology, diophantine, rank2, rank3
 from .cohomology import ChernVector
@@ -163,28 +164,20 @@ def _rand_rank2(rng, a1):
     return rank2.Rank2BundleClass(a1, c2, rng.randint(0, 1))
 
 
-def _rank2_axioms(rng, descriptor, triples):
-    """Associativity, commutativity, identity, inverses for one descriptor."""
-    plain = rank2.GroupDescriptorA1(descriptor.a1)
-    e = descriptor.identity
+def _axioms(draw, add, e, inverse, triples) -> bool:
+    """Associativity, commutativity, identity e and inverses on random triples.
 
-    def sum_(x, y):
-        return rank2.add(descriptor, x, y)
-
+    Each triple is three calls of ``draw``; ``inverse`` is an independent
+    route to the inverse under ``add``.
+    """
     for _ in range(triples):
-        x, y, z = (_rand_rank2(rng, descriptor.a1) for _ in range(3))
-        if sum_(sum_(x, y), z) != sum_(x, sum_(y, z)):
-            return False
-        if sum_(x, y) != sum_(y, x):
-            return False
-        if sum_(x, e) != x:
-            return False
-        if descriptor.b:
-            # inverse of x is e + e - x in the plain arithmetic
-            inv = rank2.add(plain, rank2.add(plain, e, e), rank2.negate(plain, x))
-        else:
-            inv = rank2.negate(plain, x)
-        if sum_(x, inv) != e:
+        x, y, z = draw(), draw(), draw()
+        if (
+            add(add(x, y), z) != add(x, add(y, z))
+            or add(x, y) != add(y, x)
+            or add(x, e) != x
+            or add(x, inverse(x)) != e
+        ):
             return False
     return True
 
@@ -192,26 +185,34 @@ def _rank2_axioms(rng, descriptor, triples):
 def check_group_axioms() -> tuple[bool, str]:
     """Random property suites for the three group structures plus mixed associativity."""
     rng = random.Random(1729)
-    parts = []
-
-    plain_cases = 0
+    a1s = range(-10, 11)
     ok = True
-    for a1 in range(-10, 11):
-        if not _rank2_axioms(rng, rank2.GroupDescriptorA1(a1), 1000):
-            ok = False
-        plain_cases += 1000
-    parts.append(f"plain law: {plain_cases} random triples over a1 in [-10, 10]")
 
-    shifted_cases = 0
-    for a1 in range(-10, 11):
-        for b in range(-5, 6):
-            if not _rank2_axioms(rng, rank2.GroupDescriptorA1(a1, b), 10):
-                ok = False
-            shifted_cases += 10
-    parts.append(f"shifted law: {shifted_cases} random triples, b in [-5, 5]")
+    for a1 in a1s:
+        plain = rank2.GroupDescriptorA1(a1)
+        draw = partial(_rand_rank2, rng, a1)
+        inverse = partial(rank2.negate, plain)
+        ok &= _axioms(draw, partial(rank2.add, plain), plain.identity, inverse, 1000)
+    parts = [f"plain law: {len(a1s) * 1000} random triples over a1 in [-10, 10]"]
 
-    mixed = 0
-    for _ in range(120):
+    bs = range(-5, 6)
+    for a1 in a1s:
+        plain = rank2.GroupDescriptorA1(a1)
+        draw = partial(_rand_rank2, rng, a1)
+        for b in bs:
+            g = rank2.GroupDescriptorA1(a1, b)
+            e = g.identity
+            if b:
+                # the inverse of x is e + e - x in the plain arithmetic
+                def inverse(x):
+                    return rank2.add(plain, rank2.add(plain, e, e), rank2.negate(plain, x))
+            else:
+                inverse = partial(rank2.negate, plain)
+            ok &= _axioms(draw, partial(rank2.add, g), e, inverse, 10)
+    parts.append(f"shifted law: {len(a1s) * len(bs) * 10} random triples, b in [-5, 5]")
+
+    mixed = 120
+    for _ in range(mixed):
         a1 = rng.randint(-10, 10)
         b = rng.randint(-5, 5)
         plain = rank2.GroupDescriptorA1(a1)
@@ -219,40 +220,26 @@ def check_group_axioms() -> tuple[bool, str]:
         v, w, z = (_rand_rank2(rng, a1) for _ in range(3))
         lhs = rank2.add(shifted, rank2.add(plain, v, w), z)
         rhs = rank2.add(plain, v, rank2.add(shifted, w, z))
-        if lhs != rhs:
-            ok = False
-        mixed += 1
+        ok &= lhs == rhs
     parts.append(f"mixed associativity: {mixed} triples")
 
-    rank3_cases = 0
     bases = [(3, 0), (0, 0), (1, 0), (5, 4), (2, 0)]
     while len(bases) < 10:
         pair = (rng.randint(-5, 5), rng.randint(-5, 5))
         base = (pair[0] + pair[1], pair[0] * pair[1])
         if base not in bases:
             bases.append(base)
-    for base_c1, base_c2 in bases:
-        g = rank3.make_group(base_c1, base_c2, 24)
-        e = g.identity
+    for base in bases:
+        g = rank3.GroupDescriptorV0(*base)
 
-        def rand3():
-            return rank3.Rank3BundleClass(
-                base_c1, base_c2, g.c3_generator * rng.randint(-12, 12)
-            )
+        def draw():
+            return rank3.Rank3BundleClass(*base, g.c3_generator * rng.randint(-12, 12))
 
-        for _ in range(110):
-            x, y, z = rand3(), rand3(), rand3()
-            if rank3.add(g, rank3.add(g, x, y), z) != rank3.add(g, x, rank3.add(g, y, z)):
-                ok = False
-            if rank3.add(g, x, y) != rank3.add(g, y, x):
-                ok = False
-            if rank3.add(g, x, e) != x:
-                ok = False
-            inv = rank3.Rank3BundleClass(base_c1, base_c2, -x.c3)
-            if rank3.add(g, x, inv) != e:
-                ok = False
-            rank3_cases += 1
-    parts.append(f"rank-3 law: {rank3_cases} random triples over {len(bases)} bases")
+        def inverse(x):
+            return rank3.Rank3BundleClass(*base, -x.c3)
+
+        ok &= _axioms(draw, partial(rank3.add, g), g.identity, inverse, 110)
+    parts.append(f"rank-3 law: {len(bases) * 110} random triples over {len(bases)} bases")
     return ok, "; ".join(parts)
 
 

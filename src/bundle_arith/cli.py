@@ -40,11 +40,6 @@ class CommandResult:
         doc = {"status": self.status, "payload": self.payload, "notes": self.notes}
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
-    @classmethod
-    def from_json(cls, text: str) -> "CommandResult":
-        doc = json.loads(text)
-        return cls(status=doc["status"], payload=doc["payload"], notes=doc["notes"])
-
     def render_human(self) -> str:
         lines = [f"status: {self.status}"]
         lines.extend(_human_lines(self.payload, ""))

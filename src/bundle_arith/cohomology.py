@@ -63,9 +63,9 @@ class ChernVector:
     c: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rank, int) or self.rank < 1:
+        if type(self.rank) is not int or self.rank < 1:
             raise DomainError(f"rank must be a positive integer, got {self.rank!r}")
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if type(self.dim) is not int or self.dim < 1:
             raise DomainError(f"dim must be a positive integer, got {self.dim!r}")
         if self.dim > MAX_DIM:
             raise DomainError(f"dim must be at most {MAX_DIM}, got {self.dim}")
@@ -74,7 +74,7 @@ class ChernVector:
             raise DomainError(
                 f"expected {self.rank} Chern classes for rank {self.rank}, got {len(c)}"
             )
-        if not all(isinstance(ci, int) for ci in c):
+        if not all(type(ci) is int for ci in c):
             raise DomainError(f"Chern classes must be integers, got {c!r}")
         object.__setattr__(self, "c", c)
 

@@ -113,7 +113,7 @@ class Rank2BundleClass:
     alpha: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.c1, int) or not isinstance(self.c2, int):
+        if type(self.c1) is not int or type(self.c2) is not int:
             raise DomainError("c1 and c2 must be integers")
         if (self.c1 * self.c2) % 2:
             raise DomainError(
@@ -164,9 +164,9 @@ class GroupDescriptorA1:
     identity: Rank2BundleClass = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.a1, int):
+        if type(self.a1) is not int:
             raise DomainError(f"a1 must be an integer, got {self.a1!r}")
-        if not isinstance(self.b, int):
+        if type(self.b) is not int:
             raise DomainError(f"shift b must be an integer, got {self.b!r}")
         e = split_rank2(self.a1 - self.b, self.b)
         if self.b == 0 and e.alpha is not None and e.alpha != epsilon(self.a1):

@@ -58,7 +58,7 @@ class Rank3BundleClass:
     c3: int
 
     def __post_init__(self) -> None:
-        if not all(isinstance(c, int) for c in (self.c1, self.c2, self.c3)):
+        if not all(type(c) is int for c in (self.c1, self.c2, self.c3)):
             raise DomainError("Chern classes must be integers")
         if not is_feasible(ChernVector(3, 5, (self.c1, self.c2, self.c3))):
             raise DomainError(
@@ -137,22 +137,25 @@ def is_split_realizable(c1: int, c2: int, c3: int) -> tuple[int, int, int] | Non
 class GroupDescriptorV0:
     """Group of rank-3 classes over a rank-2 base with Chern data (base_c1, base_c2).
 
-    ``c3_generator`` is the spacing d of the feasible c3 lattice.  The
-    identity (base_c1, base_c2, 0) is built once, as ``identity``; building
-    it checks that the base is feasible.  ``kernel_kind`` is the kernel of
-    the c3 homomorphism, read off the base by the mod-3 rule.
+    The group is determined by its base.  ``c3_generator``, the spacing d
+    of the feasible c3 lattice, is derived from the base by the closed
+    form of :func:`feasible_c3_lattice`, which also rejects an infeasible
+    base; the identity (base_c1, base_c2, 0) is built once, as
+    ``identity``.  ``kernel_kind`` is the kernel of the c3 homomorphism,
+    read off the base by the mod-3 rule.
     """
 
     base_c1: int
     base_c2: int
-    c3_generator: int
+    c3_generator: int = field(init=False, compare=False)
     identity: Rank3BundleClass = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.c3_generator, int) or self.c3_generator < 1:
-            raise DomainError("c3_generator must be a positive integer")
-        e = Rank3BundleClass(self.base_c1, self.base_c2, 0)
-        object.__setattr__(self, "identity", e)
+        # d divides 120, so the cap of 120 never binds; the call also checks
+        # that the base, and so the identity, is feasible
+        d = feasible_c3_lattice(self.base_c1, self.base_c2, 120)
+        object.__setattr__(self, "c3_generator", d)
+        object.__setattr__(self, "identity", _class(self.base_c1, self.base_c2, 0))
 
     @property
     def kernel_kind(self) -> str:
@@ -163,14 +166,13 @@ class GroupDescriptorV0:
 
 
 def make_group(base_c1: int, base_c2: int, scan: int) -> GroupDescriptorV0:
-    """Descriptor for the group over base (base_c1, base_c2).
+    """Descriptor for the group over base (base_c1, base_c2), capped by ``scan``.
 
-    The c3 lattice spacing comes from the closed form of
-    :func:`feasible_c3_lattice`, which also rejects an infeasible base; a
-    spacing above ``scan`` raises :class:`ConsistencyError`.
+    :func:`feasible_c3_lattice` rejects, in this order, a bad ``scan``, an
+    infeasible base and a c3 spacing above ``scan``.
     """
-    d = feasible_c3_lattice(base_c1, base_c2, scan)
-    return GroupDescriptorV0(base_c1, base_c2, d)
+    feasible_c3_lattice(base_c1, base_c2, scan)
+    return GroupDescriptorV0(base_c1, base_c2)
 
 
 def _require_member(g: GroupDescriptorV0, v: Rank3BundleClass) -> None:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from bundle_arith import acceptance, cohomology
+from bundle_arith import acceptance, cohomology, rank2, rank3
 
 
 @pytest.mark.parametrize("key", list(acceptance.CRITERIA), ids=str)
@@ -57,4 +57,32 @@ def test_oracle_catches_one_wrong_chern_character(monkeypatch, target, k):
 
     monkeypatch.setattr(cohomology, "chern_character", wrong)
     ok, _ = acceptance.check_oracle_consistency()
+    assert not ok
+
+
+def _add_without_e(g, v, w):
+    alpha = None if v.alpha is None else (v.alpha + w.alpha) % 2
+    return rank2._class(g.a1, v.c2 + w.c2, alpha)
+
+
+def _negate_off_by_two(g, v):
+    return rank2._class(g.a1, 2 * g.identity.c2 - v.c2 + 2, v.alpha)
+
+
+def _rank3_add_plus_d(g, v, w):
+    return rank3._class(g.base_c1, g.base_c2, v.c3 + w.c3 + g.c3_generator)
+
+
+@pytest.mark.parametrize(
+    "module,name,wrong",
+    [
+        (rank2, "add", _add_without_e),
+        (rank2, "negate", _negate_off_by_two),
+        (rank3, "add", _rank3_add_plus_d),
+    ],
+    ids=["rank2-add-without-e", "rank2-negate-off-by-2", "rank3-add-plus-d"],
+)
+def test_group_axioms_catch_a_wrong_law(monkeypatch, module, name, wrong):
+    monkeypatch.setattr(module, name, wrong)
+    ok, _ = acceptance.check_group_axioms()
     assert not ok

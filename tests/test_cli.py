@@ -285,11 +285,10 @@ class TestOutputContract:
         code, out = run_cli(
             capsys, "--json", "rank3", "index", "--base", "3", "0", "--class", "3", "0", "-4"
         )
-        parsed = CommandResult.from_json(out)
+        doc = json.loads(out)
+        assert set(doc) == {"status", "payload", "notes"}
+        parsed = CommandResult(**doc)
         assert parsed.to_json() == out.strip()
-        assert parsed == CommandResult(
-            status=parsed.status, payload=parsed.payload, notes=parsed.notes
-        )
 
     def test_byte_identical_reruns(self, capsys):
         _, first = run_cli(capsys, "--json", "quadric", "solve", "4", "1", "--box", "6")

@@ -27,7 +27,13 @@ from bundle_arith.cohomology import (
     split_chern_vector,
 )
 from bundle_arith.errors import ConsistencyError, DomainError
-from bundle_arith.rank3 import KERNEL_Z3, make_group
+from bundle_arith.rank3 import (
+    KERNEL_Z3,
+    GroupDescriptorV0,
+    Rank3BundleClass,
+    make_group,
+    subgroup_index,
+)
 
 
 def _mul(a, b):
@@ -448,6 +454,11 @@ class TestRank3Law:
                 g = make_group(c1, c2, 24)
                 assert g.c3_generator == d8 * d3
                 assert (g.kernel_kind == KERNEL_Z3) == (d3 == 1)
+                # the descriptor derives the same group from the base alone
+                derived = GroupDescriptorV0(c1, c2)
+                assert derived == g and derived.c3_generator == g.c3_generator
+                w = Rank3BundleClass(c1, c2, 24)  # 24 is a multiple of every d
+                assert subgroup_index(derived, w) == subgroup_index(g, w)
         assert bases == 2208
 
 class TestValidation:
@@ -461,6 +472,15 @@ class TestValidation:
         with pytest.raises(DomainError):
             ChernVector(1, MAX_DIM + 1, (1,))
         assert is_feasible(ChernVector(1, MAX_DIM, (1,)))
+
+    def test_bool_fields_rejected(self):
+        # True == 1, but rank, dim and Chern classes are ints, not bools
+        with pytest.raises(DomainError):
+            ChernVector(2, 3, (True, 2))
+        with pytest.raises(DomainError):
+            ChernVector(True, 3, (1,))
+        with pytest.raises(DomainError):
+            ChernVector(1, True, (1,))
 
     def test_twist_must_be_integer(self):
         with pytest.raises(DomainError):

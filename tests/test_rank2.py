@@ -104,6 +104,17 @@ class TestSplitAndClassValidation:
         with pytest.raises(DomainError):
             Rank2BundleClass(0, 0, 2)  # alpha must be 0/1
 
+    def test_bool_classes_rejected(self):
+        # True == 1, but a Chern class is an int, not a bool
+        with pytest.raises(DomainError):
+            Rank2BundleClass(True, 2)
+        with pytest.raises(DomainError):
+            Rank2BundleClass(1, True)
+        with pytest.raises(DomainError):
+            GroupDescriptorA1(True)
+        with pytest.raises(DomainError):
+            GroupDescriptorA1(0, False)
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, True, False])
     def test_alpha_must_be_an_int(self, alpha):
         # 0.0 == 0 and True == 1, but only the ints 0 and 1 are Z/2 values

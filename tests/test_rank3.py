@@ -41,6 +41,13 @@ class TestSplitRank3:
         with pytest.raises(DomainError):
             Rank3BundleClass(3, 3, 0)  # no rank-2 base with data (3,3) exists
 
+    def test_bool_classes_rejected(self):
+        # True == 1, but a Chern class is an int, not a bool
+        with pytest.raises(DomainError):
+            Rank3BundleClass(True, False, 0)
+        with pytest.raises(DomainError):
+            GroupDescriptorV0(True, 0)
+
 
 class TestSplitRealizability:
     def test_examples(self):
@@ -108,7 +115,15 @@ class TestMakeGroup:
         with pytest.raises(DomainError):
             make_group(3, 3, 24)
         with pytest.raises(DomainError):
-            GroupDescriptorV0(3, 3, 4)
+            GroupDescriptorV0(3, 3)
+
+    def test_descriptor_derives_the_generator(self):
+        # the generator comes from the base; no caller can pass a wrong one
+        g = GroupDescriptorV0(3, 0)
+        assert g.c3_generator == 4
+        assert subgroup_index(g, Rank3BundleClass(3, 0, -4)) == 3
+        with pytest.raises(TypeError):
+            GroupDescriptorV0(3, 0, 1)
 
 
 class TestGroupOperations:
@@ -244,6 +259,7 @@ class TestSubgroupIndex:
         assert subgroup_index(g, g.identity) == math.inf
 
     def test_generator_not_dividing_c3_is_inconsistent(self):
-        synthetic = GroupDescriptorV0(3, 0, 3)
+        synthetic = GroupDescriptorV0(3, 0)
+        object.__setattr__(synthetic, "c3_generator", 3)
         with pytest.raises(ConsistencyError):
             subgroup_index(synthetic, split_rank3(2, -1, 2))

@@ -1,0 +1,27 @@
+"""The package imports nothing outside the standard library and itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bundle_arith"
+
+
+def test_imports_are_relative_or_stdlib():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    foreign = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.name}: {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert not foreign, foreign

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, require_int
 
 __all__ = [
     "MAX_DIM",
@@ -143,8 +143,7 @@ def _chis(
 
 def euler_characteristic(v: ChernVector, twist: int = 0) -> Fraction:
     """chi(v tensor O(twist)) on CP^dim, as an exact rational."""
-    if not isinstance(twist, int):
-        raise DomainError(f"twist must be an integer, got {twist!r}")
+    require_int(twist, "twist")
     return Fraction(next(_chis(v.rank, v.dim, v.c, (twist,))), math.factorial(v.dim))
 
 
@@ -184,8 +183,7 @@ def feasible_c3_lattice(c1: int, c2: int, scan: int) -> int:
     |c3| <= scan holds no nonzero feasible value, and raises
     :class:`ConsistencyError`.
     """
-    if not isinstance(scan, int) or scan < 1:
-        raise DomainError(f"scan bound must be a positive integer, got {scan!r}")
+    require_int(scan, "scan bound", 1)
     base = ChernVector(3, 5, (c1, c2, 0))
     if not is_feasible(base):
         raise DomainError(

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, require_int
 from .rank3 import Rank3BundleClass
 
 __all__ = [
@@ -79,6 +79,8 @@ class QuadricSolution:
     provenance: Provenance = Provenance(BRUTE_FORCE)
 
     def __post_init__(self) -> None:
+        for name in ("x", "y", "z", "a", "b"):
+            require_int(getattr(self, name), name)
         if self.x + self.y + self.z != self.a + self.b:
             raise DomainError(
                 f"x + y + z = {self.x + self.y + self.z} differs from "
@@ -107,7 +109,7 @@ class QuadricPoint:
 
     def __post_init__(self) -> None:
         coords = tuple(self.coords)
-        if len(coords) != 4 or not all(isinstance(v, int) for v in coords):
+        if len(coords) != 4 or not all(type(v) is int for v in coords):
             raise DomainError("a quadric point needs four integer coordinates")
         if not any(coords):
             raise DomainError("projective coordinates must not all vanish")
@@ -144,6 +146,8 @@ def param_family1(u: int, v: int, l: int, w: int) -> QuadricSolution:
     rational point; clearing denominators with the overall scale w gives
     an integer solution for every (u, v, l, w).
     """
+    for name, value in (("u", u), ("v", v), ("l", l), ("w", w)):
+        require_int(value, name)
     x, y, z, a, b = (w * c for c in _family1_point(u, v, l))
     return QuadricSolution(x, y, z, a, b, Provenance(FAMILY1, (u, v, l, w)))
 
@@ -154,6 +158,8 @@ def param_family2(t: int, l: int) -> tuple[QuadricSolution, QuadricSolution]:
     These come from entire lines contained in the quadric and correspond
     to identity elements O(t) + O(l) + O of the groups they live in.
     """
+    require_int(t, "t")
+    require_int(l, "l")
     first = QuadricSolution(t, l, 0, l, t, Provenance(FAMILY2, (t, l, 1)))
     second = QuadricSolution(t, 0, l, t, l, Provenance(FAMILY2, (t, l, 2)))
     return first, second
@@ -177,8 +183,9 @@ def brute_force_solutions(
     deduplicated; ``include_permutations`` returns every ordered triple
     instead.  Output order is deterministic either way.
     """
-    if not isinstance(box, int) or box < 0:
-        raise DomainError(f"box must be a non-negative integer, got {box!r}")
+    require_int(a, "a")
+    require_int(b, "b")
+    require_int(box, "box", 0)
     radius = min(box, isqrt(a * a + b * b))
     if radius > MAX_SCAN_RADIUS:
         raise DomainError(
@@ -246,10 +253,7 @@ def coverage_check(a: int, b: int, box: int, param_bound: int) -> CoverageReport
     recorded; the scan stops once every solution has one.  A box
     holding no solution raises :class:`DomainError`.
     """
-    if not isinstance(param_bound, int) or param_bound < 0:
-        raise DomainError(
-            f"param_bound must be a non-negative integer, got {param_bound!r}"
-        )
+    require_int(param_bound, "param_bound", 0)
     if param_bound > MAX_PARAM_BOUND:
         raise DomainError(f"param_bound = {param_bound} exceeds {MAX_PARAM_BOUND}")
     targets = brute_force_solutions(a, b, box)

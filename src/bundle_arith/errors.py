@@ -9,6 +9,13 @@ class DomainError(BundleArithError, ValueError):
     """An input violates an operation's precondition."""
 
 
+def require_int(value: object, name: str, least: int | None = None) -> None:
+    """Raise DomainError unless ``value`` is an int, not a bool, and >= ``least``."""
+    if type(value) is not int or (least is not None and value < least):
+        kind = {None: "an", 0: "a non-negative", 1: "a positive"}[least]
+        raise DomainError(f"{name} must be {kind} integer, got {value!r}")
+
+
 class ConsistencyError(BundleArithError, RuntimeError):
     """A computed result contradicts a structural expectation.
 

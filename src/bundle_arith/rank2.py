@@ -34,6 +34,7 @@ from .errors import (
     DomainError,
     FormulaNotApplicableError,
     HorrocksUndefinedError,
+    require_int,
 )
 
 __all__ = [
@@ -164,10 +165,8 @@ class GroupDescriptorA1:
     identity: Rank2BundleClass = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if type(self.a1) is not int:
-            raise DomainError(f"a1 must be an integer, got {self.a1!r}")
-        if type(self.b) is not int:
-            raise DomainError(f"shift b must be an integer, got {self.b!r}")
+        require_int(self.a1, "a1")
+        require_int(self.b, "shift b")
         e = split_rank2(self.a1 - self.b, self.b)
         if self.b == 0 and e.alpha is not None and e.alpha != epsilon(self.a1):
             raise ConsistencyError(
@@ -275,10 +274,10 @@ def agreement_sweep(c1_min: int, c2_bound: int) -> tuple[int, bool, bool]:
     raises :class:`DomainError`: the sweep would be empty or stop short
     of ``c1_min``.
     """
+    require_int(c1_min, "c1_min")
     if c1_min > 0 or c1_min % 2:
         raise DomainError(f"c1_min must be a non-positive even integer, got {c1_min}")
-    if c2_bound < 0:
-        raise DomainError(f"c2_bound must be a non-negative integer, got {c2_bound}")
+    require_int(c2_bound, "c2_bound", 0)
     residues = range(min(4, -c1_min // 2 + 1))
     all_agree = all(
         agreement_check(Rank2BundleClass(-2 * n, 0, 0), Rank2BundleClass(-2 * n, 0, 0))
@@ -297,8 +296,7 @@ def tensor_line(v: Rank2BundleClass, k: int) -> Rank2BundleClass:
     alpha's presence is too.  The result needs no re-check: for odd c1,
     k(c1 + k) is even (k or c1 + k is), so c2 keeps its even parity.
     """
-    if not isinstance(k, int):
-        raise DomainError(f"twist must be an integer, got {k!r}")
+    require_int(k, "twist k")
     return _class(*_twist(v.c1, v.c2, k), v.alpha)
 
 
@@ -383,14 +381,14 @@ def generation_closure(
     max |c1| + c2 bound above :data:`MAX_SEARCH_EXTENT` raises
     :class:`DomainError`.
     """
-    for name, value in (("c1_min", c1_min), ("c1_max", c1_max), ("c2_bound", c2_bound)):
-        if not isinstance(value, int):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-    if c1_min > c1_max or c2_bound < 0:
-        raise DomainError("empty report box")
     s1min = c1_min if search_c1_min is None else search_c1_min
     s1max = c1_max if search_c1_max is None else search_c1_max
     s2 = c2_bound if search_c2_bound is None else search_c2_bound
+    names = "c1_min c1_max c2_bound search_c1_min search_c1_max search_c2_bound".split()
+    for name, value in zip(names, (c1_min, c1_max, c2_bound, s1min, s1max, s2)):
+        require_int(value, name)
+    if c1_min > c1_max or c2_bound < 0:
+        raise DomainError("empty report box")
     if s1min > c1_min or s1max < c1_max or s2 < c2_bound:
         raise DomainError("the search box must contain the report box")
     # Any split O(x) + O(y) in the box has |x|, |y| bounded by the roots

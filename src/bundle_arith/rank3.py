@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 from .cohomology import ChernVector, feasible_c3_lattice, is_feasible
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, require_int
 
 __all__ = [
     "RHO_UNTRACKED",
@@ -97,6 +97,9 @@ def is_split_realizable(c1: int, c2: int, c3: int) -> tuple[int, int, int] | Non
     The work is O(log(|c1| + |c2| + |c3|)) evaluations of f.  Returned
     triples are sorted in descending order.
     """
+    require_int(c1, "c1")
+    require_int(c2, "c2")
+    require_int(c3, "c3")
 
     def value(t: int) -> int:
         return ((t - c1) * t + c2) * t - c3
@@ -203,8 +206,7 @@ def iterate(g: GroupDescriptorV0, w: Rank3BundleClass, n: int) -> Rank3BundleCla
     The result needs no re-check: the feasible c3 over the base are
     exactly dZ, so n * c3(w) is feasible with c3(w).
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"iteration count must be a positive integer, got {n!r}")
+    require_int(n, "iteration count", 1)
     _require_member(g, w)
     return _class(g.base_c1, g.base_c2, n * w.c3)
 
@@ -217,8 +219,7 @@ def smallest_nonsplit_multiple(
     None when every multiple within the bound splits, which is guaranteed
     to persist forever when c3(w) = 0 and the base itself splits.
     """
-    if not isinstance(bound, int) or bound < 1:
-        raise DomainError(f"bound must be a positive integer, got {bound!r}")
+    require_int(bound, "bound", 1)
     _require_member(g, w)
     for n in range(1, bound + 1):
         m = iterate(g, w, n)

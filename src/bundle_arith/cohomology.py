@@ -63,10 +63,8 @@ class ChernVector:
     c: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if type(self.rank) is not int or self.rank < 1:
-            raise DomainError(f"rank must be a positive integer, got {self.rank!r}")
-        if type(self.dim) is not int or self.dim < 1:
-            raise DomainError(f"dim must be a positive integer, got {self.dim!r}")
+        require_int(self.rank, "rank", 1)
+        require_int(self.dim, "dim", 1)
         if self.dim > MAX_DIM:
             raise DomainError(f"dim must be at most {MAX_DIM}, got {self.dim}")
         c = tuple(self.c)

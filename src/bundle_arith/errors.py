@@ -12,8 +12,8 @@ class DomainError(BundleArithError, ValueError):
 def require_int(value: object, name: str, least: int | None = None) -> None:
     """Raise DomainError unless ``value`` is an int, not a bool, and >= ``least``."""
     if type(value) is not int or (least is not None and value < least):
-        kind = {None: "an", 0: "a non-negative", 1: "a positive"}[least]
-        raise DomainError(f"{name} must be {kind} integer, got {value!r}")
+        want = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+        raise DomainError(f"{name} must be {want.get(least, f'an integer >= {least}')}, got {value!r}")
 
 
 class ConsistencyError(BundleArithError, RuntimeError):

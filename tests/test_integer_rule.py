@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from bundle_arith import cohomology, diophantine, rank2, rank3
-from bundle_arith.errors import DomainError
+from bundle_arith.errors import DomainError, require_int
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bundle_arith"
 
@@ -37,6 +37,8 @@ def _family1(i, x):
 
 # (name the message starts with, call with the argument under test set to x)
 ENTRY_POINTS = {
+    "ChernVector-rank": ("rank", lambda x: cohomology.ChernVector(x, 3, (1,))),
+    "ChernVector-dim": ("dim", lambda x: cohomology.ChernVector(1, x, (1,))),
     "euler_characteristic": ("twist", lambda x: cohomology.euler_characteristic(CV, x)),
     "feasible_c3_lattice": (
         "scan bound", lambda x: cohomology.feasible_c3_lattice(3, 0, x)
@@ -113,6 +115,28 @@ def test_entry_point_rejects_non_integers(entry, bad):
         call(bad)
     # the message names the argument, so the bad value is what was refused
     assert str(info.value).startswith(name), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "value, least, message",
+    [
+        (-1, None, None),
+        (0, 0, None),
+        (1, 1, None),
+        (2, 2, None),
+        (False, None, "n must be an integer, got False"),
+        (-1, 0, "n must be a non-negative integer, got -1"),
+        (0, 1, "n must be a positive integer, got 0"),
+        (1, 2, "n must be an integer >= 2, got 1"),
+        (2.0, 2, "n must be an integer >= 2, got 2.0"),
+    ],
+)
+def test_require_int_wording(value, least, message):
+    if message is None:
+        require_int(value, "n", least)
+    else:
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            require_int(value, "n", least)
 
 
 def _int_isinstance_lines(source):

@@ -5,6 +5,10 @@ by default, one JSON document with ``--json``.  Identical invocations
 produce byte-identical machine output.  Exit codes: 0 ok, 2 domain
 error, 3 consistency error (a computed result contradicting required
 structure), 64 usage error.
+
+Each call builds the top-level parser and then only the parsers on the
+path of the command it runs (``rank3 index`` builds three of the 21);
+the other commands' parsers and arguments are never made.
 """
 
 from __future__ import annotations
@@ -58,7 +62,37 @@ def _human_lines(value, prefix):
         yield f"{prefix.rstrip('.')} = {value}"
 
 
+# _LazySubParsers subclasses argparse's private _SubParsersAction and uses
+# its private _ChoicesPseudoAction, _name_parser_map, _choices_actions,
+# _prog_prefix and _parser_class (checked on Python 3.11.7).
+class _LazySubParsers(argparse._SubParsersAction):
+    """Subcommands whose parser is built only when argparse dispatches to it.
+
+    ``add_parser`` records the name, the help string and the function
+    that adds the command's arguments; ``__call__`` builds that one
+    parser.  Usage, help listings and "invalid choice" messages read
+    only the names and help strings, so they come out as before.
+    """
+
+    def add_parser(self, name, add_arguments, help=None):
+        if help is not None:
+            self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = add_arguments
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        if not isinstance(self._name_parser_map[name], argparse.ArgumentParser):
+            sub = self._parser_class(prog=f"{self._prog_prefix} {name}")
+            self._name_parser_map[name](sub)
+            self._name_parser_map[name] = sub
+        super().__call__(parser, namespace, values, option_string)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.register("action", "parsers", _LazySubParsers)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -394,52 +428,53 @@ def _cmd_report(args):
     return payload, notes
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="bundle-arith", description=__doc__)
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--out", metavar="FILE", help="also write the output to FILE")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("feasible", help="integrality test for Chern data")
+def _args_feasible(p):
     p.add_argument("rank", type=int)
     p.add_argument("dim", type=int)
     p.add_argument("chern", type=int, nargs="+")
     p.set_defaults(handler=_cmd_feasible)
 
-    p = sub.add_parser("count-rank2", help="number of rank-2 classes on CP^3")
+
+def _args_count_rank2(p):
     p.add_argument("c1", type=int)
     p.add_argument("c2", type=int)
     p.set_defaults(handler=_cmd_count_rank2)
 
-    p = sub.add_parser("alpha", help="alpha invariant of a rank-2 class")
+
+def _args_alpha(p):
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--split", type=int, nargs=2, metavar=("X", "Y"))
     mode.add_argument("--chern", type=int, nargs=2, metavar=("C1", "C2"))
     p.set_defaults(handler=_cmd_alpha)
 
-    p = sub.add_parser("add-rank2", help="group sum of two rank-2 classes")
+
+def _args_add_rank2(p):
     p.add_argument("--a1", type=int, required=True)
     p.add_argument("--v", type=int, nargs="+", required=True, metavar="INT")
     p.add_argument("--w", type=int, nargs="+", required=True, metavar="INT")
     p.add_argument("--shift", type=int, default=None, metavar="B")
     p.set_defaults(handler=_cmd_add_rank2)
 
-    p = sub.add_parser("horrocks", help="Horrocks sum of two rank-2 classes")
+
+def _args_horrocks(p):
     p.add_argument("--v", type=int, nargs="+", required=True, metavar="INT")
     p.add_argument("--w", type=int, nargs="+", required=True, metavar="INT")
     p.set_defaults(handler=_cmd_horrocks)
 
-    p = sub.add_parser("agree", help="sweep: Horrocks sum equals the group sum")
+
+def _args_agree(p):
     p.add_argument("--c1-min", type=int, default=-40)
     p.add_argument("--c2-bound", type=int, default=10)
     p.set_defaults(handler=_cmd_agree)
 
-    p = sub.add_parser("tensor", help="tensor a rank-2 class by a line bundle")
+
+def _args_tensor(p):
     p.add_argument("--v", type=int, nargs="+", required=True, metavar="INT")
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(handler=_cmd_tensor)
 
-    p = sub.add_parser("generate", help="closure of split classes in a box")
+
+def _args_generate(p):
     p.add_argument("--c1-min", type=int, required=True)
     p.add_argument("--c1-max", type=int, required=True)
     p.add_argument("--c2-bound", type=int, required=True)
@@ -448,11 +483,11 @@ def build_parser() -> _Parser:
     p.add_argument("--search-c2-bound", type=int, default=None)
     p.set_defaults(handler=_cmd_generate)
 
-    rank3_parser = sub.add_parser("rank3", help="rank-3 groups on CP^5")
-    rank3_sub = rank3_parser.add_subparsers(dest="rank3_command", required=True)
 
-    def add_rank3(name, handler, *, base=True, v=False, w=False, cls=False, n=False):
-        q = rank3_sub.add_parser(name)
+def _args_rank3_command(handler, *, base=True, v=False, w=False, cls=False, n=False):
+    """The argument-adding function of one ``rank3`` subcommand."""
+
+    def add_arguments(q):
         if base:
             q.add_argument("--base", type=int, nargs=2, required=True, metavar=("C1", "C2"))
             q.add_argument("--scan", type=int, default=24)
@@ -466,48 +501,81 @@ def build_parser() -> _Parser:
         if n:
             q.add_argument("--n", type=int, required=True)
         q.set_defaults(handler=handler)
-        return q
 
-    add_rank3("add", _cmd_rank3_add, v=True, w=True)
-    add_rank3("iterate", _cmd_rank3_iterate, w=True, n=True)
-    add_rank3("index", _cmd_rank3_index, cls=True)
-    add_rank3("split", _cmd_rank3_split, base=False, cls=True)
-    add_rank3("prime-witness", _cmd_rank3_prime_witness, w=True)
+    return add_arguments
 
-    quadric_parser = sub.add_parser("quadric", help="split elements as quadric points")
-    quadric_sub = quadric_parser.add_subparsers(dest="quadric_command", required=True)
 
-    q = quadric_sub.add_parser("solve")
+def _args_rank3(p):
+    sub = p.add_subparsers(dest="rank3_command", required=True)
+    sub.add_parser("add", _args_rank3_command(_cmd_rank3_add, v=True, w=True))
+    sub.add_parser("iterate", _args_rank3_command(_cmd_rank3_iterate, w=True, n=True))
+    sub.add_parser("index", _args_rank3_command(_cmd_rank3_index, cls=True))
+    sub.add_parser("split", _args_rank3_command(_cmd_rank3_split, base=False, cls=True))
+    sub.add_parser("prime-witness", _args_rank3_command(_cmd_rank3_prime_witness, w=True))
+
+
+def _args_quadric_solve(q):
     q.add_argument("a", type=int)
     q.add_argument("b", type=int)
     q.add_argument("--box", type=int, default=6)
     q.add_argument("--raw", action="store_true")
     q.set_defaults(handler=_cmd_quadric_solve)
 
-    q = quadric_sub.add_parser("param1")
+
+def _args_quadric_param1(q):
     q.add_argument("u", type=int)
     q.add_argument("l", type=int)
     q.add_argument("v", type=int)
     q.add_argument("w", type=int)
     q.set_defaults(handler=_cmd_quadric_param1)
 
-    q = quadric_sub.add_parser("param2")
+
+def _args_quadric_param2(q):
     q.add_argument("t", type=int)
     q.add_argument("l", type=int)
     q.set_defaults(handler=_cmd_quadric_param2)
 
-    q = quadric_sub.add_parser("cover")
+
+def _args_quadric_cover(q):
     q.add_argument("a", type=int)
     q.add_argument("b", type=int)
     q.add_argument("--box", type=int, default=6)
     q.add_argument("--param-bound", type=int, default=12)
     q.set_defaults(handler=_cmd_quadric_cover)
 
-    p = sub.add_parser("report", help="run the acceptance suite")
+
+def _args_quadric(p):
+    sub = p.add_subparsers(dest="quadric_command", required=True)
+    sub.add_parser("solve", _args_quadric_solve)
+    sub.add_parser("param1", _args_quadric_param1)
+    sub.add_parser("param2", _args_quadric_param2)
+    sub.add_parser("cover", _args_quadric_cover)
+
+
+def _args_report(p):
     p.add_argument("--only", nargs="+", choices=sorted(acceptance.CRITERIA),
                    metavar="KEY")
     p.set_defaults(handler=_cmd_report)
 
+
+def build_parser() -> _Parser:
+    """The top-level parser; a subcommand's parser is built when it is invoked."""
+    # the docstring's last paragraph is about the code, not help text
+    parser = _Parser(prog="bundle-arith", description=__doc__.rsplit("\n\n", 1)[0])
+    parser.add_argument("--json", action="store_true", help="machine-readable output")
+    parser.add_argument("--out", metavar="FILE", help="also write the output to FILE")
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("feasible", _args_feasible, help="integrality test for Chern data")
+    sub.add_parser("count-rank2", _args_count_rank2, help="number of rank-2 classes on CP^3")
+    sub.add_parser("alpha", _args_alpha, help="alpha invariant of a rank-2 class")
+    sub.add_parser("add-rank2", _args_add_rank2, help="group sum of two rank-2 classes")
+    sub.add_parser("horrocks", _args_horrocks, help="Horrocks sum of two rank-2 classes")
+    sub.add_parser("agree", _args_agree, help="sweep: Horrocks sum equals the group sum")
+    sub.add_parser("tensor", _args_tensor, help="tensor a rank-2 class by a line bundle")
+    sub.add_parser("generate", _args_generate, help="closure of split classes in a box")
+    sub.add_parser("rank3", _args_rank3, help="rank-3 groups on CP^5")
+    sub.add_parser("quadric", _args_quadric, help="split elements as quadric points")
+    sub.add_parser("report", _args_report, help="run the acceptance suite")
     return parser
 
 

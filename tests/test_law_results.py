@@ -1,16 +1,20 @@
 """The group laws build their results without re-validation; check them.
 
 The laws in :mod:`bundle_arith.rank2` and :mod:`bundle_arith.rank3`
-skip the constructors' checks because their results are valid by proof.
-This oracle rebuilds every result through the public constructor, which
-runs the full validation, and requires an equal class with int fields.
+skip the constructors' checks because their results are valid by proof,
+and the quadric solution builders in :mod:`bundle_arith.diophantine`
+skip the field checks on ints they have already checked.  This oracle
+rebuilds every result through the public constructor, which runs the
+full validation, and requires an equal value with int fields.
 """
 
 import random
+from itertools import product
 
 import pytest
 
-from bundle_arith import rank2, rank3
+from bundle_arith import diophantine, rank2, rank3
+from bundle_arith.errors import DomainError
 
 # The group-axioms criterion's a1 range, plus larger odd and positive c1
 A1_VALUES = (*range(-10, 11), -23, -17, 13, 31, 40)
@@ -80,3 +84,35 @@ def test_rank3_law_results_pass_the_constructor(base, kernel):
                 for _ in range(2))
         s = _check_rank3(rank3.add(g, v, w))
         _check_rank3(rank3.iterate(g, s, rng.randint(1, 40)))
+
+
+def _check_solution(s):
+    fields = (s.x, s.y, s.z, s.a, s.b)
+    assert all(type(f) is int for f in fields)
+    assert diophantine.QuadricSolution(*fields, s.provenance) == s
+    return s
+
+
+@pytest.mark.parametrize(
+    "base", [(3, 0), (0, 3), (5, 4), (-2, 1), (7, -7), (0, 0), (60, -36), (84, -28)], ids=str
+)
+def test_quadric_builder_results_pass_the_constructor(base):
+    for box in (0, 3, 9, 200):
+        for raw in (False, True):
+            for s in diophantine.brute_force_solutions(*base, box, raw):
+                _check_solution(s)
+    for t, l in product(range(-4, 5), repeat=2):
+        for s in diophantine.param_family2(t + base[0], l + base[1]):
+            _check_solution(s)
+
+
+def test_family1_results_pass_the_constructor():
+    for u, v, l, w in product(range(-3, 4), repeat=4):
+        _check_solution(diophantine.param_family1(u, v, l, w))
+
+
+def test_quadric_builder_keeps_the_equation_checks():
+    with pytest.raises(DomainError, match="a \\+ b"):
+        diophantine._solution(1, 0, 0, 0, 0, diophantine.Provenance("brute_force"))
+    with pytest.raises(DomainError, match="differs from ab"):
+        diophantine._solution(1, 1, 0, 2, 0, diophantine.Provenance("brute_force"))

@@ -5,10 +5,6 @@ by default, one JSON document with ``--json``.  Identical invocations
 produce byte-identical machine output.  Exit codes: 0 ok, 2 domain
 error, 3 consistency error (a computed result contradicting required
 structure), 64 usage error.
-
-Each call builds the top-level parser and then only the parsers on the
-path of the command it runs (``rank3 index`` builds three of the 21);
-the other commands' parsers and arguments are never made.
 """
 
 from __future__ import annotations
@@ -62,6 +58,9 @@ def _human_lines(value, prefix):
         yield f"{prefix.rstrip('.')} = {value}"
 
 
+# Each call builds the top-level parser and then only the parsers on the
+# path of the command it runs (``rank3 index`` builds three of the 21);
+# the other commands' parsers and arguments are never made.  To do so,
 # _LazySubParsers subclasses argparse's private _SubParsersAction and uses
 # its private _ChoicesPseudoAction, _name_parser_map, _choices_actions,
 # _prog_prefix and _parser_class (checked on Python 3.11.7).
@@ -106,6 +105,10 @@ def _rank3_payload(cls: rank3.Rank3BundleClass) -> dict:
     return {"c1": cls.c1, "c2": cls.c2, "c3": cls.c3, "rho": cls.rho}
 
 
+def _provenance_payload(prov: diophantine.Provenance) -> dict:
+    return {"kind": prov.kind, "params": list(prov.params)}
+
+
 def _solution_payload(sol: diophantine.QuadricSolution) -> dict:
     return {
         "x": sol.x,
@@ -113,10 +116,7 @@ def _solution_payload(sol: diophantine.QuadricSolution) -> dict:
         "z": sol.z,
         "a": sol.a,
         "b": sol.b,
-        "provenance": {
-            "kind": sol.provenance.kind,
-            "params": list(sol.provenance.params),
-        },
+        "provenance": _provenance_payload(sol.provenance),
     }
 
 
@@ -401,7 +401,7 @@ def _cmd_quadric_cover(args):
         "matched": [
             {
                 "solution": _solution_payload(sol),
-                "generator": {"kind": prov.kind, "params": list(prov.params)},
+                "generator": _provenance_payload(prov),
             }
             for sol, prov in report.matched
         ],
@@ -560,8 +560,7 @@ def _args_report(p):
 
 def build_parser() -> _Parser:
     """The top-level parser; a subcommand's parser is built when it is invoked."""
-    # the docstring's last paragraph is about the code, not help text
-    parser = _Parser(prog="bundle-arith", description=__doc__.rsplit("\n\n", 1)[0])
+    parser = _Parser(prog="bundle-arith", description=__doc__)
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--out", metavar="FILE", help="also write the output to FILE")
     sub = parser.add_subparsers(dest="command", required=True)

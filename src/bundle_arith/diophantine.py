@@ -22,21 +22,16 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt
 
-from .errors import ConsistencyError, DomainError, require_int
-from .rank3 import Rank3BundleClass
+from .errors import DomainError, require_int
 
 __all__ = [
     "Provenance",
     "QuadricSolution",
-    "QuadricPoint",
-    "quadric_Q",
-    "solution_to_point",
     "param_family1",
     "param_family2",
     "brute_force_solutions",
     "coverage_check",
     "CoverageReport",
-    "enumerate_nonidentity_splits",
     "MAX_SCAN_RADIUS",
     "MAX_PARAM_BOUND",
 ]
@@ -110,38 +105,6 @@ def _solution(x: int, y: int, z: int, a: int, b: int, provenance: Provenance) ->
     s.__dict__.update(x=x, y=y, z=z, a=a, b=b, provenance=provenance)
     s._check_equations()
     return s
-
-
-@dataclass(frozen=True)
-class QuadricPoint:
-    """Projective integer point [a : b : c : d] on Q = 0."""
-
-    coords: tuple[int, int, int, int]
-
-    def __post_init__(self) -> None:
-        coords = tuple(self.coords)
-        if len(coords) != 4 or not all(type(v) is int for v in coords):
-            raise DomainError("a quadric point needs four integer coordinates")
-        if not any(coords):
-            raise DomainError("projective coordinates must not all vanish")
-        if quadric_Q(*coords) != 0:
-            raise DomainError(f"Q{coords} != 0; the point is not on the quadric")
-        object.__setattr__(self, "coords", coords)
-
-
-def quadric_Q(a: int, b: int, c: int, d: int) -> int:
-    """The quadric form c^2 + d^2 - bd - ac + cd."""
-    return c * c + d * d - b * d - a * c + c * d
-
-
-def solution_to_point(s: QuadricSolution) -> QuadricPoint:
-    """Coordinate change c = a - x, d = b - y landing on Q = 0."""
-    c = s.a - s.x
-    d = s.b - s.y
-    if s.z != c + d:
-        # forced by the first symmetric equation; a failure is a bug
-        raise ConsistencyError(f"z = {s.z} differs from c + d = {c + d}")
-    return QuadricPoint((s.a, s.b, c, d))
 
 
 def _family1_point(u: int, v: int, l: int) -> tuple[int, int, int, int, int]:
@@ -228,10 +191,6 @@ class CoverageReport:
     findings, never silently dropped.
     """
 
-    a: int
-    b: int
-    box: int
-    param_bound: int
     matched: tuple[tuple[QuadricSolution, Provenance], ...]
     unmatched: tuple[QuadricSolution, ...]
 
@@ -293,25 +252,4 @@ def coverage_check(a: int, b: int, box: int, param_bound: int) -> CoverageReport
             matched.append((sol, matches[sol.triple]))
         else:
             unmatched.append(sol)
-    return CoverageReport(
-        a=a,
-        b=b,
-        box=box,
-        param_bound=param_bound,
-        matched=tuple(matched),
-        unmatched=tuple(unmatched),
-    )
-
-
-def enumerate_nonidentity_splits(a: int, b: int, box: int) -> list[Rank3BundleClass]:
-    """Split classes in the group over O(a) + O(b) with nonzero c3, in a box.
-
-    Solutions with xyz != 0 map to classes (a + b, ab, xyz); the result
-    is deduplicated by class and sorted by c3.
-    """
-    classes = {
-        s.x * s.y * s.z
-        for s in brute_force_solutions(a, b, box)
-        if s.x * s.y * s.z != 0
-    }
-    return [Rank3BundleClass(a + b, a * b, c3) for c3 in sorted(classes)]
+    return CoverageReport(tuple(matched), tuple(unmatched))

@@ -114,8 +114,8 @@ class Rank2BundleClass:
     alpha: int | None = None
 
     def __post_init__(self) -> None:
-        if type(self.c1) is not int or type(self.c2) is not int:
-            raise DomainError("c1 and c2 must be integers")
+        require_int(self.c1, "c1")
+        require_int(self.c2, "c2")
         if (self.c1 * self.c2) % 2:
             raise DomainError(
                 f"(c1, c2) = ({self.c1}, {self.c2}) is not realizable: "

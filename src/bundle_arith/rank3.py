@@ -58,8 +58,9 @@ class Rank3BundleClass:
     c3: int
 
     def __post_init__(self) -> None:
-        if not all(type(c) is int for c in (self.c1, self.c2, self.c3)):
-            raise DomainError("Chern classes must be integers")
+        require_int(self.c1, "c1")
+        require_int(self.c2, "c2")
+        require_int(self.c3, "c3")
         if not is_feasible(ChernVector(3, 5, (self.c1, self.c2, self.c3))):
             raise DomainError(
                 f"(c1, c2, c3) = ({self.c1}, {self.c2}, {self.c3}) fails the "

@@ -2,7 +2,9 @@
 
 The exhaustive searches that the library no longer runs survive here as
 oracles: a box^2 scan over (x, y) for the enumeration, and a scan over
-all four family-1 parameters (u, v, l, w) for the coverage report.
+all four family-1 parameters (u, v, l, w) for the coverage report.  The
+quadric form Q and the coordinate change onto it live here too, as the
+oracles for the family-1 derivation.
 """
 
 import random
@@ -18,17 +20,29 @@ from bundle_arith.diophantine import (
     MAX_PARAM_BOUND,
     MAX_SCAN_RADIUS,
     Provenance,
-    QuadricPoint,
     QuadricSolution,
     brute_force_solutions,
     coverage_check,
-    enumerate_nonidentity_splits,
     param_family1,
     param_family2,
-    quadric_Q,
-    solution_to_point,
 )
 from bundle_arith.errors import DomainError
+
+
+def quadric_Q(a, b, c, d):
+    """The quadric form c^2 + d^2 - bd - ac + cd."""
+    return c * c + d * d - b * d - a * c + c * d
+
+
+def solution_to_point(s):
+    """The point (a, b, c, d) with c = a - x, d = b - y, checked to lie on Q = 0."""
+    c = s.a - s.x
+    d = s.b - s.y
+    point = (s.a, s.b, c, d)
+    assert s.z == c + d  # forced by the first symmetric equation
+    assert any(point), "projective coordinates must not all vanish"
+    assert quadric_Q(*point) == 0
+    return point
 
 
 def _canonical(triple):
@@ -85,18 +99,11 @@ class TestQuadricForm:
     def test_generic_value(self):
         assert quadric_Q(1, 1, 1, 1) == 1
 
-    def test_point_validation(self):
-        QuadricPoint((1, 0, 0, 0))
-        with pytest.raises(DomainError):
-            QuadricPoint((1, 1, 1, 1))
-        with pytest.raises(DomainError):
-            QuadricPoint((0, 0, 0, 0))
-
 
 class TestSolutionToPoint:
     def test_small_index_data(self):
         s = QuadricSolution(2, -1, 2, 3, 0)
-        assert solution_to_point(s).coords == (3, 0, 1, 1)
+        assert solution_to_point(s) == (3, 0, 1, 1)
         assert quadric_Q(3, 0, 1, 1) == 0
 
     def test_line_family_image(self):
@@ -104,12 +111,12 @@ class TestSolutionToPoint:
             if t == 0 and l == 0:
                 continue
             s = QuadricSolution(t, l, 0, l, t)
-            assert solution_to_point(s).coords == (l, t, l - t, t - l)
+            assert solution_to_point(s) == (l, t, l - t, t - l)
 
     def test_identity_style_solutions(self):
         for a, b in [(3, 0), (2, 5), (-1, 4)]:
             s = QuadricSolution(a, b, 0, a, b)
-            assert solution_to_point(s).coords == (a, b, 0, 0)
+            assert solution_to_point(s) == (a, b, 0, 0)
 
     def test_invariant_violation_rejected(self):
         with pytest.raises(DomainError):
@@ -123,12 +130,12 @@ class TestSolutionToPoint:
             s = param_family1(u, v, l, w)
             if not any((s.a, s.b, s.a - s.x, s.b - s.y)):
                 continue  # the all-zero solution has no projective image
-            _, _, c, d = solution_to_point(s).coords
+            _, _, c, d = solution_to_point(s)
             assert s.z == c + d
             checked += 1
 
     def test_zero_solution_has_no_projective_image(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(AssertionError, match="must not all vanish"):
             solution_to_point(param_family1(0, 0, 0, 0))
 
 
@@ -295,17 +302,3 @@ class TestCoverage:
         for bound in (MAX_PARAM_BOUND + 1, 10**18, -1):
             with pytest.raises(DomainError, match="param_bound"):
                 coverage_check(3, 0, 6, bound)
-
-
-class TestEnumerateNonIdentitySplits:
-    def test_base_3_0(self):
-        classes = enumerate_nonidentity_splits(3, 0, 3)
-        assert [(c.c1, c.c2, c.c3) for c in classes] == [(3, 0, -4)]
-
-    def test_base_0_0_is_empty(self):
-        # x + y + z = 0 and xy + yz + zx = 0 force x = y = z = 0
-        assert enumerate_nonidentity_splits(0, 0, 5) == []
-
-    def test_nonzero_c3_everywhere(self):
-        for cls in enumerate_nonidentity_splits(4, 1, 8):
-            assert cls.c3 != 0

@@ -28,11 +28,11 @@ def _solution(field, x):
     return diophantine.QuadricSolution(**values)
 
 
-def _family1(i, x):
-    """param_family1 at (u, v, l, w) = (1, 1, 0, 1) with parameter i set to ``x``."""
-    params = [1, 1, 0, 1]
-    params[i] = x
-    return diophantine.param_family1(*params)
+def _replaced(values, i, x):
+    """``values`` as a list with entry i set to ``x``."""
+    values = list(values)
+    values[i] = x
+    return values
 
 
 # (name the message starts with, call with the argument under test set to x)
@@ -43,6 +43,14 @@ ENTRY_POINTS = {
     "feasible_c3_lattice": (
         "scan bound", lambda x: cohomology.feasible_c3_lattice(3, 0, x)
     ),
+    "Rank2BundleClass-c1": ("c1", lambda x: rank2.Rank2BundleClass(x, 0, 0)),
+    "Rank2BundleClass-c2": ("c2", lambda x: rank2.Rank2BundleClass(1, x)),
+    **{
+        f"Rank3BundleClass-{c}": (
+            c, lambda x, i=i: rank3.Rank3BundleClass(*_replaced((3, 0, -4), i, x))
+        )
+        for i, c in enumerate(("c1", "c2", "c3"))
+    },
     "GroupDescriptorA1-a1": ("a1", lambda x: rank2.GroupDescriptorA1(x)),
     "GroupDescriptorA1-b": ("shift b", lambda x: rank2.GroupDescriptorA1(0, x)),
     "tensor_line": ("twist k", lambda x: rank2.tensor_line(V2, x)),
@@ -87,19 +95,14 @@ ENTRY_POINTS = {
     "coverage_check-param_bound": (
         "param_bound", lambda x: diophantine.coverage_check(3, 0, 6, x)
     ),
-    "enumerate_nonidentity_splits-b": (
-        "b", lambda x: diophantine.enumerate_nonidentity_splits(3, x, 6)
-    ),
     **{
         f"QuadricSolution-{field}": (field, lambda x, field=field: _solution(field, x))
         for field in ("x", "y", "z", "a", "b")
     },
-    "QuadricPoint": (
-        "a quadric point needs four integer coordinates",
-        lambda x: diophantine.QuadricPoint((x, 0, 0, 0)),
-    ),
     **{
-        f"param_family1-{p}": (p, lambda x, i=i: _family1(i, x))
+        f"param_family1-{p}": (
+            p, lambda x, i=i: diophantine.param_family1(*_replaced((1, 1, 0, 1), i, x))
+        )
         for i, p in enumerate("uvlw")
     },
     "param_family2-t": ("t", lambda x: diophantine.param_family2(x, 2)),

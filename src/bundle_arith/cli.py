@@ -58,43 +58,32 @@ def _human_lines(value, prefix):
         yield f"{prefix.rstrip('.')} = {value}"
 
 
-# Each call builds the top-level parser and then only the parsers on the
-# path of the command it runs (``rank3 index`` builds three of the 21);
-# the other commands' parsers and arguments are never made.  To do so,
-# _LazySubParsers subclasses argparse's private _SubParsersAction and uses
-# its private _ChoicesPseudoAction, _name_parser_map, _choices_actions,
-# _prog_prefix and _parser_class (checked on Python 3.11.7).
-class _LazySubParsers(argparse._SubParsersAction):
-    """Subcommands whose parser is built only when argparse dispatches to it.
-
-    ``add_parser`` records the name, the help string and the function
-    that adds the command's arguments; ``__call__`` builds that one
-    parser.  Usage, help listings and "invalid choice" messages read
-    only the names and help strings, so they come out as before.
-    """
-
-    def add_parser(self, name, add_arguments, help=None):
-        if help is not None:
-            self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
-        self._name_parser_map[name] = add_arguments
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        name = values[0]
-        if not isinstance(self._name_parser_map[name], argparse.ArgumentParser):
-            sub = self._parser_class(prog=f"{self._prog_prefix} {name}")
-            self._name_parser_map[name](sub)
-            self._name_parser_map[name] = sub
-        super().__call__(parser, namespace, values, option_string)
-
-
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.register("action", "parsers", _LazySubParsers)
-
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+class _LazyParser:
+    """A subcommand's parser, built on first use.
+
+    Each ``add_subparsers`` call passes this class as its
+    ``parser_class``, so ``add_parser(name, build=..., help=...)`` makes a
+    proxy holding ``build``, the function that adds the command's
+    arguments.  argparse touches the proxy only when it dispatches to the
+    command; usage, help listings and "invalid choice" messages read only
+    the names and help strings.  So each call builds the top-level parser
+    and then only the parsers on the path of the command it runs.
+    """
+
+    def __init__(self, build, **kwargs):
+        self._build, self._kwargs, self._parser = build, kwargs, None
+
+    def __getattr__(self, name):
+        if self._parser is None:
+            self._parser = _Parser(**self._kwargs)
+            self._build(self._parser)
+        return getattr(self._parser, name)
 
 
 def _rank2_payload(cls: rank2.Rank2BundleClass) -> dict:
@@ -191,7 +180,7 @@ def _cmd_alpha(args):
             _alpha_note(cls.c1, cls.c2),
             f"normalized twist b = (x - y)/2 = {b}: b = 2 (mod 4) {'holds' if b % 4 == 2 else 'fails'}",
         ]
-        return {"c1": cls.c1, "c2": cls.c2, "alpha": cls.alpha}, notes
+        return _rank2_payload(cls), notes
     c1, c2 = args.chern
     alpha = rank2.alpha_extendable(c1, c2)
     return {"c1": c1, "c2": c2, "alpha": alpha}, [_alpha_note(c1, c2)]
@@ -249,25 +238,13 @@ def _cmd_tensor(args):
 
 
 def _cmd_generate(args):
-    report = rank2.generation_closure(
-        args.c1_min,
-        args.c1_max,
-        args.c2_bound,
-        args.search_c1_min,
-        args.search_c1_max,
-        args.search_c2_bound,
-    )
+    s1min = args.c1_min if args.search_c1_min is None else args.search_c1_min
+    s1max = args.c1_max if args.search_c1_max is None else args.search_c1_max
+    s2 = args.c2_bound if args.search_c2_bound is None else args.search_c2_bound
+    report = rank2.generation_closure(args.c1_min, args.c1_max, args.c2_bound, s1min, s1max, s2)
     payload = {
-        "box": {
-            "c1_min": report.c1_min,
-            "c1_max": report.c1_max,
-            "c2_bound": report.c2_bound,
-        },
-        "search_box": {
-            "c1_min": report.search_c1_min,
-            "c1_max": report.search_c1_max,
-            "c2_bound": report.search_c2_bound,
-        },
+        "box": {"c1_min": args.c1_min, "c1_max": args.c1_max, "c2_bound": args.c2_bound},
+        "search_box": {"c1_min": s1min, "c1_max": s1max, "c2_bound": s2},
         "reached": [
             {
                 "class": _rank2_payload(r.cls),
@@ -506,12 +483,12 @@ def _args_rank3_command(handler, *, base=True, v=False, w=False, cls=False, n=Fa
 
 
 def _args_rank3(p):
-    sub = p.add_subparsers(dest="rank3_command", required=True)
-    sub.add_parser("add", _args_rank3_command(_cmd_rank3_add, v=True, w=True))
-    sub.add_parser("iterate", _args_rank3_command(_cmd_rank3_iterate, w=True, n=True))
-    sub.add_parser("index", _args_rank3_command(_cmd_rank3_index, cls=True))
-    sub.add_parser("split", _args_rank3_command(_cmd_rank3_split, base=False, cls=True))
-    sub.add_parser("prime-witness", _args_rank3_command(_cmd_rank3_prime_witness, w=True))
+    sub = p.add_subparsers(dest="rank3_command", required=True, parser_class=_LazyParser)
+    sub.add_parser("add", build=_args_rank3_command(_cmd_rank3_add, v=True, w=True))
+    sub.add_parser("iterate", build=_args_rank3_command(_cmd_rank3_iterate, w=True, n=True))
+    sub.add_parser("index", build=_args_rank3_command(_cmd_rank3_index, cls=True))
+    sub.add_parser("split", build=_args_rank3_command(_cmd_rank3_split, base=False, cls=True))
+    sub.add_parser("prime-witness", build=_args_rank3_command(_cmd_rank3_prime_witness, w=True))
 
 
 def _args_quadric_solve(q):
@@ -545,11 +522,11 @@ def _args_quadric_cover(q):
 
 
 def _args_quadric(p):
-    sub = p.add_subparsers(dest="quadric_command", required=True)
-    sub.add_parser("solve", _args_quadric_solve)
-    sub.add_parser("param1", _args_quadric_param1)
-    sub.add_parser("param2", _args_quadric_param2)
-    sub.add_parser("cover", _args_quadric_cover)
+    sub = p.add_subparsers(dest="quadric_command", required=True, parser_class=_LazyParser)
+    sub.add_parser("solve", build=_args_quadric_solve)
+    sub.add_parser("param1", build=_args_quadric_param1)
+    sub.add_parser("param2", build=_args_quadric_param2)
+    sub.add_parser("cover", build=_args_quadric_cover)
 
 
 def _args_report(p):
@@ -563,18 +540,18 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="bundle-arith", description=__doc__)
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--out", metavar="FILE", help="also write the output to FILE")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("feasible", _args_feasible, help="integrality test for Chern data")
-    sub.add_parser("count-rank2", _args_count_rank2, help="number of rank-2 classes on CP^3")
-    sub.add_parser("alpha", _args_alpha, help="alpha invariant of a rank-2 class")
-    sub.add_parser("add-rank2", _args_add_rank2, help="group sum of two rank-2 classes")
-    sub.add_parser("horrocks", _args_horrocks, help="Horrocks sum of two rank-2 classes")
-    sub.add_parser("agree", _args_agree, help="sweep: Horrocks sum equals the group sum")
-    sub.add_parser("tensor", _args_tensor, help="tensor a rank-2 class by a line bundle")
-    sub.add_parser("generate", _args_generate, help="closure of split classes in a box")
-    sub.add_parser("rank3", _args_rank3, help="rank-3 groups on CP^5")
-    sub.add_parser("quadric", _args_quadric, help="split elements as quadric points")
-    sub.add_parser("report", _args_report, help="run the acceptance suite")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_LazyParser)
+    sub.add_parser("feasible", build=_args_feasible, help="integrality test for Chern data")
+    sub.add_parser("count-rank2", build=_args_count_rank2, help="number of rank-2 classes on CP^3")
+    sub.add_parser("alpha", build=_args_alpha, help="alpha invariant of a rank-2 class")
+    sub.add_parser("add-rank2", build=_args_add_rank2, help="group sum of two rank-2 classes")
+    sub.add_parser("horrocks", build=_args_horrocks, help="Horrocks sum of two rank-2 classes")
+    sub.add_parser("agree", build=_args_agree, help="sweep: Horrocks sum equals the group sum")
+    sub.add_parser("tensor", build=_args_tensor, help="tensor a rank-2 class by a line bundle")
+    sub.add_parser("generate", build=_args_generate, help="closure of split classes in a box")
+    sub.add_parser("rank3", build=_args_rank3, help="rank-3 groups on CP^5")
+    sub.add_parser("quadric", build=_args_quadric, help="split elements as quadric points")
+    sub.add_parser("report", build=_args_report, help="run the acceptance suite")
     return parser
 
 

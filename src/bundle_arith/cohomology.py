@@ -73,7 +73,7 @@ class ChernVector:
                 f"expected {self.rank} Chern classes for rank {self.rank}, got {len(c)}"
             )
         if not all(type(ci) is int for ci in c):
-            raise DomainError(f"Chern classes must be integers, got {c!r}")
+            raise DomainError(f"c must hold integer Chern classes, got {c!r}")
         object.__setattr__(self, "c", c)
 
 

@@ -331,12 +331,6 @@ class GenerationReport:
     intermediate classes outside any fixed box.
     """
 
-    c1_min: int
-    c1_max: int
-    c2_bound: int
-    search_c1_min: int
-    search_c1_max: int
-    search_c2_bound: int
     reached: tuple[ReachedClass, ...]
     unreached: tuple[Rank2BundleClass, ...]
     searched: int
@@ -367,9 +361,9 @@ def generation_closure(
     c1_min: int,
     c1_max: int,
     c2_bound: int,
-    search_c1_min: int | None = None,
-    search_c1_max: int | None = None,
-    search_c2_bound: int | None = None,
+    search_c1_min: int,
+    search_c1_max: int,
+    search_c2_bound: int,
 ) -> GenerationReport:
     """Closure of split classes under twisting and Horrocks sums, inside a box.
 
@@ -381,9 +375,7 @@ def generation_closure(
     max |c1| + c2 bound above :data:`MAX_SEARCH_EXTENT` raises
     :class:`DomainError`.
     """
-    s1min = c1_min if search_c1_min is None else search_c1_min
-    s1max = c1_max if search_c1_max is None else search_c1_max
-    s2 = c2_bound if search_c2_bound is None else search_c2_bound
+    s1min, s1max, s2 = search_c1_min, search_c1_max, search_c2_bound
     names = "c1_min c1_max c2_bound search_c1_min search_c1_max search_c2_bound".split()
     for name, value in zip(names, (c1_min, c1_max, c2_bound, s1min, s1max, s2)):
         require_int(value, name)
@@ -446,14 +438,4 @@ def generation_closure(
             unreached.append(cls)
         else:
             reached.append(ReachedClass(cls, *found))
-    return GenerationReport(
-        c1_min=c1_min,
-        c1_max=c1_max,
-        c2_bound=c2_bound,
-        search_c1_min=s1min,
-        search_c1_max=s1max,
-        search_c2_bound=s2,
-        reached=tuple(reached),
-        unreached=tuple(unreached),
-        searched=len(settled),
-    )
+    return GenerationReport(tuple(reached), tuple(unreached), len(settled))

@@ -39,6 +39,7 @@ def _replaced(values, i, x):
 ENTRY_POINTS = {
     "ChernVector-rank": ("rank", lambda x: cohomology.ChernVector(x, 3, (1,))),
     "ChernVector-dim": ("dim", lambda x: cohomology.ChernVector(1, x, (1,))),
+    "ChernVector-c": ("c", lambda x: cohomology.ChernVector(1, 3, (x,))),
     "euler_characteristic": ("twist", lambda x: cohomology.euler_characteristic(CV, x)),
     "feasible_c3_lattice": (
         "scan bound", lambda x: cohomology.feasible_c3_lattice(3, 0, x)
@@ -57,22 +58,22 @@ ENTRY_POINTS = {
     "agreement_sweep-c1_min": ("c1_min", lambda x: rank2.agreement_sweep(x, 2)),
     "agreement_sweep-c2_bound": ("c2_bound", lambda x: rank2.agreement_sweep(-4, x)),
     "generation_closure-c1_min": (
-        "c1_min", lambda x: rank2.generation_closure(x, 0, 2)
+        "c1_min", lambda x: rank2.generation_closure(x, 0, 2, x, 0, 2)
     ),
     "generation_closure-c1_max": (
-        "c1_max", lambda x: rank2.generation_closure(-2, x, 2)
+        "c1_max", lambda x: rank2.generation_closure(-2, x, 2, -2, x, 2)
     ),
     "generation_closure-c2_bound": (
-        "c2_bound", lambda x: rank2.generation_closure(-2, 0, x)
+        "c2_bound", lambda x: rank2.generation_closure(-2, 0, x, -2, 0, x)
     ),
     "generation_closure-search_c1_min": (
-        "search_c1_min", lambda x: rank2.generation_closure(-2, 0, 2, x)
+        "search_c1_min", lambda x: rank2.generation_closure(-2, 0, 2, x, 0, 2)
     ),
     "generation_closure-search_c1_max": (
-        "search_c1_max", lambda x: rank2.generation_closure(-2, 0, 2, None, x)
+        "search_c1_max", lambda x: rank2.generation_closure(-2, 0, 2, -2, x, 2)
     ),
     "generation_closure-search_c2_bound": (
-        "search_c2_bound", lambda x: rank2.generation_closure(-2, 0, 2, None, None, x)
+        "search_c2_bound", lambda x: rank2.generation_closure(-2, 0, 2, -2, 0, x)
     ),
     "iterate": ("iteration count", lambda x: rank3.iterate(G3, W3, x)),
     "smallest_nonsplit_multiple": (

@@ -419,7 +419,7 @@ class TestCountClasses:
 
 class TestGenerationClosure:
     def test_splits_reached_at_cost_zero(self):
-        report = generation_closure(-2, 0, 4)
+        report = generation_closure(-2, 0, 4, -2, 0, 4)
         by_class = {r.cls: r for r in report.reached}
         for x, y in [(0, 0), (1, -1), (-2, 0), (0, -2), (-1, -1)]:
             cls = split_rank2(x, y)
@@ -427,13 +427,13 @@ class TestGenerationClosure:
             assert by_class[cls].witness.startswith("split(")
 
     def test_every_class_at_c1_zero_reached(self):
-        report = generation_closure(0, 0, 10, search_c1_min=-4, search_c2_bound=16)
+        report = generation_closure(0, 0, 10, -4, 0, 16)
         assert report.all_reached
         assert len(report.reached) == 42  # 21 values of c2, two alphas each
 
     def test_nonsplit_partner_of_identity_at_minus_four(self):
         # split(-4, 0) carries alpha = 1; its partner needs Horrocks sums
-        report = generation_closure(-4, -4, 0, search_c2_bound=10)
+        report = generation_closure(-4, -4, 0, -4, -4, 10)
         by_class = {r.cls: r for r in report.reached}
         partner = Rank2BundleClass(-4, 0, 0)
         assert partner in by_class
@@ -444,7 +444,7 @@ class TestGenerationClosure:
 
     def test_unreached_classes_are_reported_not_raised(self):
         # a tiny search box cannot build positive c2 at c1 = 0
-        report = generation_closure(0, 0, 2)
+        report = generation_closure(0, 0, 2, 0, 0, 2)
         assert not report.all_reached
         reached = {r.cls for r in report.reached}
         assert Rank2BundleClass(0, 0, 0) in reached
@@ -452,13 +452,13 @@ class TestGenerationClosure:
 
     def test_search_box_must_contain_report_box(self):
         with pytest.raises(DomainError):
-            generation_closure(-4, 0, 8, search_c2_bound=2)
+            generation_closure(-4, 0, 8, -4, 0, 2)
 
     def test_search_box_cap(self):
         # the doubled acceptance box, c1 in [-24, 0] with |c2| <= 32, is under the cap
         assert generation_closure(-12, 0, 16, -24, 0, 32).all_reached
         over_cap = MAX_SEARCH_EXTENT - 24 + 1
-        for box in ((-12, 0, 16, -24, 0, over_cap), (-(10**6), 0, 0)):
+        for box in ((-12, 0, 16, -24, 0, over_cap), (-(10**6), 0, 0, -(10**6), 0, 0)):
             with pytest.raises(DomainError, match="exceeds"):
                 generation_closure(*box)
 
@@ -523,11 +523,8 @@ def _object_search(s1min, s1max, s2):
     return settled
 
 
-def _object_closure(c1_min, c1_max, c2_bound, s1min=None, s1max=None, s2=None):
+def _object_closure(c1_min, c1_max, c2_bound, s1min, s1max, s2):
     """generation_closure on validated class objects: the oracle for the int search."""
-    s1min = c1_min if s1min is None else s1min
-    s1max = c1_max if s1max is None else s1max
-    s2 = c2_bound if s2 is None else s2
     settled = _object_search(s1min, s1max, s2)
     reached = []
     unreached = []
@@ -538,12 +535,6 @@ def _object_closure(c1_min, c1_max, c2_bound, s1min=None, s1max=None, s2=None):
         else:
             unreached.append(cls)
     return GenerationReport(
-        c1_min=c1_min,
-        c1_max=c1_max,
-        c2_bound=c2_bound,
-        search_c1_min=s1min,
-        search_c1_max=s1max,
-        search_c2_bound=s2,
         reached=tuple(reached),
         unreached=tuple(unreached),
         searched=len(settled),
@@ -555,10 +546,10 @@ ORACLE_BOXES = [
     (-6, 0, 8, -12, 0, 16),
     (-12, 0, 16, -24, 0, 32),
     (-3, 3, 4, -9, 5, 10),
-    (0, 0, 2),
-    (-4, -4, 0, None, None, 10),
+    (0, 0, 2, 0, 0, 2),
+    (-4, -4, 0, -4, -4, 10),
     (5, 9, 6, 1, 15, 12),
-    (-24, 0, 32),
+    (-24, 0, 32, -24, 0, 32),
     (0, 6, 5, -3, 8, 12),
 ]
 

@@ -51,3 +51,59 @@ def _package_imports(path):
 def test_layers_import_only_below_them():
     found = {name: _package_imports(SRC / f"{name}.py") for name in LAYERS}
     assert found == LAYERS
+
+
+def _private_stdlib_names(source):
+    """``m._name`` and ``from m import _name`` for stdlib modules ``m``, with lines.
+
+    Base classes are attribute nodes too, so subclassing is included.
+    """
+    tree = ast.parse(source)
+    modules = {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.partition(".")[0] in sys.stdlib_module_names
+    }
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            names = [f"{node.value.id}.{node.attr}"]
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+              and node.module.partition(".")[0] in sys.stdlib_module_names):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [
+            (node.lineno, name)
+            for name in names
+            if name.rpartition(".")[2].startswith("_") and not name.endswith("__")
+        ]
+    return found
+
+
+def test_detector_sees_private_names():
+    source = (
+        "import argparse\n"
+        "from argparse import _SubParsersAction\n"
+        "class A(argparse._SubParsersAction): pass\n"
+        "x = argparse.ArgumentParser()._actions\n"
+        "y = argparse.__name__\n"
+        "from . import _local\n"
+    )
+    assert _private_stdlib_names(source) == [
+        (2, "argparse._SubParsersAction"),
+        (3, "argparse._SubParsersAction"),
+    ]
+
+
+def test_no_private_stdlib_names():
+    # a private name can change in any Python release, and the package allows >= 3.10
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _private_stdlib_names(path.read_text("utf-8"))
+    ]
+    assert not found, found

@@ -15,7 +15,6 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 from . import cohomology, diophantine, rank2, rank3
@@ -293,12 +292,12 @@ def check_oracle_consistency() -> tuple[bool, str]:
             for combo in itertools.combinations_with_replacement(range(-10, 11), r):
                 v = cohomology.split_chern_vector(dim, combo)
                 got = cohomology.chern_character(v)
-                # ch_k of O(t_1) + ... + O(t_r) read off sum exp(t_i): no Newton's identities
-                expected = tuple(
-                    Fraction(sum(t**k for t in combo), math.factorial(k))
-                    for k in range(dim + 1)
-                )
-                if got != expected:
+                # ch_k of O(t_1) + ... + O(t_r) read off sum exp(t_i): no Newton's identities.
+                # ch_k = (sum t^k) / k! is compared by cross-multiplying, in integers
+                if len(got) != dim + 1 or any(
+                    g.numerator * math.factorial(k) != sum(t**k for t in combo) * g.denominator
+                    for k, g in enumerate(got)
+                ):
                     ok = False
                 ch_cases += 1
     chi_cases = 0

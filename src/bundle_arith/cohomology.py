@@ -49,32 +49,32 @@ __all__ = [
 MAX_DIM = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChernVector:
     """Integer Chern data c_1..c_rank of a rank-``rank`` bundle on CP^dim.
 
     Classes above the rank are implicitly zero; classes above the
     ambient dimension die in the ring and are simply carried along.
-    ``dim`` is at most :data:`MAX_DIM`.
+    ``dim`` is at most :data:`MAX_DIM`.  The constructor checks its
+    arguments before it stores anything, and stores ``c`` as a tuple.
     """
 
     rank: int
     dim: int
     c: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        require_int(self.rank, "rank", 1)
-        require_int(self.dim, "dim", 1)
-        if self.dim > MAX_DIM:
-            raise DomainError(f"dim must be at most {MAX_DIM}, got {self.dim}")
-        c = tuple(self.c)
-        if len(c) != self.rank:
-            raise DomainError(
-                f"expected {self.rank} Chern classes for rank {self.rank}, got {len(c)}"
-            )
-        if not all(type(ci) is int for ci in c):
-            raise DomainError(f"c must hold integer Chern classes, got {c!r}")
-        object.__setattr__(self, "c", c)
+    def __init__(self, rank: int, dim: int, c: Iterable[int]) -> None:
+        require_int(rank, "rank", 1)
+        require_int(dim, "dim", 1)
+        if dim > MAX_DIM:
+            raise DomainError(f"dim must be at most {MAX_DIM}, got {dim}")
+        c = tuple(c)
+        if len(c) != rank:
+            raise DomainError(f"expected {rank} Chern classes for rank {rank}, got {len(c)}")
+        for ci in c:  # a loop, not all(...): no generator on the hot is_feasible path
+            if type(ci) is not int:
+                raise DomainError(f"c must hold integer Chern classes, got {c!r}")
+        self.__dict__.update(rank=rank, dim=dim, c=c)
 
 
 def split_chern_vector(dim: int, twists: tuple[int, ...] | list[int]) -> ChernVector:

@@ -105,29 +105,28 @@ def alpha_balanced_split(b: int) -> int:
     return (m // 4) % 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Rank2BundleClass:
-    """Topological class of a rank-2 bundle on CP^3: (c1, c2, alpha)."""
+    """Topological class of a rank-2 bundle on CP^3: (c1, c2, alpha).
+
+    The constructor checks its arguments before it stores anything.
+    """
 
     c1: int
     c2: int
     alpha: int | None = None
 
-    def __post_init__(self) -> None:
-        require_int(self.c1, "c1")
-        require_int(self.c2, "c2")
-        if (self.c1 * self.c2) % 2:
-            raise DomainError(
-                f"(c1, c2) = ({self.c1}, {self.c2}) is not realizable: "
-                "c1*c2 must be even"
-            )
-        if self.c1 % 2 == 0:
-            if type(self.alpha) is not int or self.alpha not in (0, 1):
-                raise DomainError(
-                    f"alpha in {{0, 1}} is required when c1 is even, got {self.alpha!r}"
-                )
-        elif self.alpha is not None:
-            raise DomainError(f"alpha is not defined for odd c1 = {self.c1}")
+    def __init__(self, c1: int, c2: int, alpha: int | None = None) -> None:
+        require_int(c1, "c1")
+        require_int(c2, "c2")
+        if (c1 * c2) % 2:
+            raise DomainError(f"(c1, c2) = ({c1}, {c2}) is not realizable: c1*c2 must be even")
+        if c1 % 2 == 0:
+            if type(alpha) is not int or alpha not in (0, 1):
+                raise DomainError(f"alpha in {{0, 1}} is required when c1 is even, got {alpha!r}")
+        elif alpha is not None:
+            raise DomainError(f"alpha is not defined for odd c1 = {c1}")
+        self.__dict__.update(c1=c1, c2=c2, alpha=alpha)
 
 
 def _class(c1: int, c2: int, alpha: int | None = None) -> Rank2BundleClass:

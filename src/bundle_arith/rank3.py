@@ -49,23 +49,27 @@ KERNEL_TRIVIAL = "trivial"
 KERNEL_Z3 = "Z/3"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Rank3BundleClass:
-    """Chern triple (c1, c2, c3) of a rank-3 class on CP^5."""
+    """Chern triple (c1, c2, c3) of a rank-3 class on CP^5.
+
+    The constructor checks its arguments before it stores anything.
+    """
 
     c1: int
     c2: int
     c3: int
 
-    def __post_init__(self) -> None:
-        require_int(self.c1, "c1")
-        require_int(self.c2, "c2")
-        require_int(self.c3, "c3")
-        if not is_feasible(ChernVector(3, 5, (self.c1, self.c2, self.c3))):
+    def __init__(self, c1: int, c2: int, c3: int) -> None:
+        require_int(c1, "c1")
+        require_int(c2, "c2")
+        require_int(c3, "c3")
+        if not is_feasible(ChernVector(3, 5, (c1, c2, c3))):
             raise DomainError(
-                f"(c1, c2, c3) = ({self.c1}, {self.c2}, {self.c3}) fails the "
+                f"(c1, c2, c3) = ({c1}, {c2}, {c3}) fails the "
                 "integrality conditions for rank 3 on CP^5"
             )
+        self.__dict__.update(c1=c1, c2=c2, c3=c3)
 
     @property
     def rho(self) -> str:

@@ -1,0 +1,97 @@
+"""The constructor contract of the three validated value classes.
+
+``ChernVector``, ``Rank2BundleClass`` and ``Rank3BundleClass`` check their
+arguments before they store anything.  These tests pin what a caller sees:
+the rejections other than the integer rule (``tests/test_integer_rule.py``
+covers that), each with its exact message and in its order; keyword
+construction; ``c`` stored as a tuple; re-validation by
+``dataclasses.replace``; and the generated ``==``, ``hash`` and ``repr``,
+with copying and pickling.
+"""
+
+import copy
+import dataclasses
+import pickle
+
+import pytest
+
+from bundle_arith.cohomology import MAX_DIM, ChernVector
+from bundle_arith.errors import DomainError
+from bundle_arith.rank2 import Rank2BundleClass
+from bundle_arith.rank3 import Rank3BundleClass
+
+NOT_FEASIBLE = "fails the integrality conditions for rank 3 on CP^5"
+
+REJECTED = [
+    (ChernVector, (2, 3, (1,)), "expected 2 Chern classes for rank 2, got 1"),
+    (ChernVector, (2, 3, [1, 2, 3]), "expected 2 Chern classes for rank 2, got 3"),
+    (ChernVector, (1, MAX_DIM + 1, (0,)), f"dim must be at most {MAX_DIM}, got {MAX_DIM + 1}"),
+    # the dimension is checked before the number of classes
+    (ChernVector, (2, MAX_DIM + 1, (1,)), f"dim must be at most {MAX_DIM}, got {MAX_DIM + 1}"),
+    (Rank2BundleClass, (1, 1), "(c1, c2) = (1, 1) is not realizable: c1*c2 must be even"),
+    (Rank2BundleClass, (-3, 5), "(c1, c2) = (-3, 5) is not realizable: c1*c2 must be even"),
+    # parity is checked before alpha
+    (Rank2BundleClass, (1, 1, 7), "(c1, c2) = (1, 1) is not realizable: c1*c2 must be even"),
+    (Rank2BundleClass, (0, 0, 2), "alpha in {0, 1} is required when c1 is even, got 2"),
+    (Rank2BundleClass, (2, 3, -1), "alpha in {0, 1} is required when c1 is even, got -1"),
+    (Rank2BundleClass, (0, 0), "alpha in {0, 1} is required when c1 is even, got None"),
+    (Rank2BundleClass, (0, 0, True), "alpha in {0, 1} is required when c1 is even, got True"),
+    (Rank2BundleClass, (1, 0, 0), "alpha is not defined for odd c1 = 1"),
+    (Rank2BundleClass, (-1, 4, 1), "alpha is not defined for odd c1 = -1"),
+    (Rank3BundleClass, (0, 0, 1), f"(c1, c2, c3) = (0, 0, 1) {NOT_FEASIBLE}"),
+    (Rank3BundleClass, (1, 1, 1), f"(c1, c2, c3) = (1, 1, 1) {NOT_FEASIBLE}"),
+]
+
+
+@pytest.mark.parametrize("cls,args,message", REJECTED, ids=[f"{c.__name__}{a}" for c, a, _ in REJECTED])
+def test_rejections_keep_their_messages(cls, args, message):
+    with pytest.raises(DomainError) as err:
+        cls(*args)
+    assert str(err.value) == message
+
+
+# (object, keyword arguments that rebuild it, its repr)
+VALUES = [
+    (ChernVector(2, 3, (1, 2)), {"rank": 2, "dim": 3, "c": (1, 2)}, "ChernVector(rank=2, dim=3, c=(1, 2))"),
+    (Rank2BundleClass(2, 3, 1), {"c1": 2, "c2": 3, "alpha": 1}, "Rank2BundleClass(c1=2, c2=3, alpha=1)"),
+    (Rank2BundleClass(1, 4), {"c1": 1, "c2": 4}, "Rank2BundleClass(c1=1, c2=4, alpha=None)"),
+    (Rank3BundleClass(3, 0, -4), {"c1": 3, "c2": 0, "c3": -4}, "Rank3BundleClass(c1=3, c2=0, c3=-4)"),
+]
+
+
+@pytest.mark.parametrize("obj,kwargs,text", VALUES, ids=[text for _, _, text in VALUES])
+def test_generated_methods(obj, kwargs, text):
+    fields = tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+    assert type(obj)(**kwargs) == obj
+    assert repr(obj) == text
+    assert hash(obj) == hash(fields)
+    for twin in (copy.copy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(twin) is type(obj)
+        assert twin == obj and hash(twin) == hash(obj) and repr(twin) == text
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, dataclasses.fields(obj)[0].name, 0)
+
+
+def test_chern_classes_are_stored_as_a_tuple():
+    v = ChernVector(rank=2, dim=3, c=[1, 2])
+    assert v.c == (1, 2) and type(v.c) is tuple
+    assert v == ChernVector(2, 3, (1, 2))
+    assert dataclasses.replace(v, c=[5, 6]).c == (5, 6)
+
+
+@pytest.mark.parametrize("obj,change,message", [
+    (ChernVector(2, 3, (1, 2)), {"c": (1,)}, "expected 2 Chern classes for rank 2, got 1"),
+    (Rank2BundleClass(2, 3, 1), {"alpha": None}, "alpha in {0, 1} is required when c1 is even, got None"),
+    (Rank2BundleClass(2, 3, 1), {"c1": 1}, "(c1, c2) = (1, 3) is not realizable: c1*c2 must be even"),
+    (Rank3BundleClass(3, 0, -4), {"c3": 1}, f"(c1, c2, c3) = (3, 0, 1) {NOT_FEASIBLE}"),
+], ids=["ChernVector-c", "Rank2BundleClass-alpha", "Rank2BundleClass-c1", "Rank3BundleClass-c3"])
+def test_replace_revalidates(obj, change, message):
+    with pytest.raises(DomainError) as err:
+        dataclasses.replace(obj, **change)
+    assert str(err.value) == message
+
+
+def test_equal_fields_of_different_classes_differ():
+    assert Rank2BundleClass(0, 0, 0) != Rank3BundleClass(0, 0, 0)
+    assert Rank3BundleClass(0, 0, 0) != Rank2BundleClass(0, 0, 0)
+    assert Rank2BundleClass(0, 0, 0) == Rank2BundleClass(0, 0, 0)

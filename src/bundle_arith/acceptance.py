@@ -20,7 +20,7 @@ from functools import partial
 from . import cohomology, diophantine, rank2, rank3
 from .cohomology import ChernVector
 
-__all__ = ["CriterionResult", "CRITERIA", "run", "run_all"]
+__all__ = ["CriterionResult", "CRITERIA", "run"]
 
 
 @dataclass(frozen=True)
@@ -348,8 +348,3 @@ def run(key: str) -> CriterionResult:
         passed = False
         details += f"; exceeded the {budget:g} s budget ({elapsed:.2f} s)"
     return CriterionResult(key, passed, elapsed, budget, details)
-
-
-def run_all(keys=None) -> list[CriterionResult]:
-    selected = list(CRITERIA) if keys is None else list(keys)
-    return [run(key) for key in selected]

@@ -64,7 +64,7 @@ class Provenance:
 
 @dataclass(frozen=True)
 class QuadricSolution:
-    """Integer solution (x, y, z, a, b) of the two symmetric equations."""
+    """Integer solution (x, y, z, a, b) of both equations, which the constructor checks."""
 
     x: int
     y: int
@@ -76,9 +76,6 @@ class QuadricSolution:
     def __post_init__(self) -> None:
         for name in ("x", "y", "z", "a", "b"):
             require_int(getattr(self, name), name)
-        self._check_equations()
-
-    def _check_equations(self) -> None:
         if self.x + self.y + self.z != self.a + self.b:
             raise DomainError(
                 f"x + y + z = {self.x + self.y + self.z} differs from "
@@ -99,14 +96,6 @@ class QuadricSolution:
         return (self.a, self.b)
 
 
-def _solution(x: int, y: int, z: int, a: int, b: int, provenance: Provenance) -> QuadricSolution:
-    """A solution built from already-checked ints: only the equations are checked."""
-    s = object.__new__(QuadricSolution)
-    s.__dict__.update(x=x, y=y, z=z, a=a, b=b, provenance=provenance)
-    s._check_equations()
-    return s
-
-
 def _family1_point(u: int, v: int, l: int) -> tuple[int, int, int, int, int]:
     """The family-1 solution (x, y, z, a, b) at scale w = 1."""
     x = v * v + u * v - l * v
@@ -123,7 +112,7 @@ def param_family1(u: int, v: int, l: int, w: int) -> QuadricSolution:
     for name, value in (("u", u), ("v", v), ("l", l), ("w", w)):
         require_int(value, name)
     x, y, z, a, b = (w * c for c in _family1_point(u, v, l))
-    return _solution(x, y, z, a, b, Provenance(FAMILY1, (u, v, l, w)))
+    return QuadricSolution(x, y, z, a, b, Provenance(FAMILY1, (u, v, l, w)))
 
 
 def param_family2(t: int, l: int) -> tuple[QuadricSolution, QuadricSolution]:
@@ -134,8 +123,8 @@ def param_family2(t: int, l: int) -> tuple[QuadricSolution, QuadricSolution]:
     """
     require_int(t, "t")
     require_int(l, "l")
-    first = _solution(t, l, 0, l, t, Provenance(FAMILY2, (t, l, 1)))
-    second = _solution(t, 0, l, t, l, Provenance(FAMILY2, (t, l, 2)))
+    first = QuadricSolution(t, l, 0, l, t, Provenance(FAMILY2, (t, l, 1)))
+    second = QuadricSolution(t, 0, l, t, l, Provenance(FAMILY2, (t, l, 2)))
     return first, second
 
 
@@ -177,7 +166,7 @@ def brute_force_solutions(
         found = sorted({_canonical(t) for t in found})
     else:
         found.sort()
-    return [_solution(x, y, z, a, b, Provenance(BRUTE_FORCE)) for x, y, z in found]
+    return [QuadricSolution(x, y, z, a, b, Provenance(BRUTE_FORCE)) for x, y, z in found]
 
 
 @dataclass(frozen=True)

@@ -339,10 +339,6 @@ class GenerationReport:
         return not self.unreached
 
 
-def _class_sort_key(cls: Rank2BundleClass) -> tuple[int, int, int]:
-    return (cls.c1, cls.c2, -1 if cls.alpha is None else cls.alpha)
-
-
 def realizable_classes(c1_min: int, c1_max: int, c2_bound: int):
     """All realizable classes in the box, in sorted order; valid by construction."""
     for c1 in range(c1_min, c1_max + 1):
@@ -390,17 +386,18 @@ def generation_closure(
             f"search box max|c1| + c2 bound = {xb} exceeds {MAX_SEARCH_EXTENT}"
         )
 
-    # The search runs on states (c1, c2, a), the sort key of the class
-    # (a = -1 for odd c1); entries tying on (cost, state, expr) are equal.
-    heap: list[tuple[int, int, int, int, str]] = []
+    # States are the class's own fields (c1, c2, alpha).  Heap entries tying on
+    # (cost, c1, c2) share c1's parity: both alphas are None or both are ints.
+    heap: list[tuple[int, int, int, int | None, str]] = []
     for x in range(-xb, xb + 1):
         for y in range(x, xb + 1):
             if s1min <= x + y <= s1max and abs(x * y) <= s2:
-                heap.append((0, *_class_sort_key(split_rank2(x, y)), f"split({x},{y})"))
+                cls = split_rank2(x, y)
+                heap.append((0, cls.c1, cls.c2, cls.alpha, f"split({x},{y})"))
     heapq.heapify(heap)
 
-    settled: dict[tuple[int, int, int], tuple[int, str]] = {}
-    peers_by_c1: dict[int, list[tuple[int, int, int, str]]] = {}
+    settled: dict[tuple[int, int, int | None], tuple[int, str]] = {}
+    peers_by_c1: dict[int, list[tuple[int, int | None, int, str]]] = {}
     while heap:
         cost, c1, c2, a, expr = heapq.heappop(heap)
         if (c1, c2, a) in settled:
@@ -422,7 +419,7 @@ def generation_closure(
                 h2 = c2 + other_c2
                 if abs(h2) > s2:
                     continue
-                ha = (a + other_a + bump) % 2 if a >= 0 else -1
+                ha = None if a is None else (a + other_a + bump) % 2
                 if (c1, h2, ha) in settled:
                     continue
                 first, second = sorted((expr, other_expr))
@@ -432,7 +429,7 @@ def generation_closure(
     reached = []
     unreached = []
     for cls in realizable_classes(c1_min, c1_max, c2_bound):
-        found = settled.get(_class_sort_key(cls))
+        found = settled.get((cls.c1, cls.c2, cls.alpha))
         if found is None:
             unreached.append(cls)
         else:

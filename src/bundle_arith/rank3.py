@@ -53,7 +53,7 @@ KERNEL_Z3 = "Z/3"
 class Rank3BundleClass:
     """Chern triple (c1, c2, c3) of a rank-3 class on CP^5.
 
-    The constructor checks its arguments before it stores anything.
+    The constructor checks its arguments; only the laws' results, valid by proof, skip it.
     """
 
     c1: int
@@ -105,11 +105,6 @@ def is_split_realizable(c1: int, c2: int, c3: int) -> tuple[int, int, int] | Non
     require_int(c1, "c1")
     require_int(c2, "c2")
     require_int(c3, "c3")
-    return _split_twists(c1, c2, c3)
-
-
-def _split_twists(c1: int, c2: int, c3: int) -> tuple[int, int, int] | None:
-    """:func:`is_split_realizable` on Chern data already known to be ints."""
 
     def value(t: int) -> int:
         return ((t - c1) * t + c2) * t - c3
@@ -232,7 +227,7 @@ def smallest_nonsplit_multiple(
     require_int(bound, "bound", 1)
     _require_member(g, w)
     for n in range(1, bound + 1):
-        if _split_twists(g.base_c1, g.base_c2, n * w.c3) is None:
+        if is_split_realizable(g.base_c1, g.base_c2, n * w.c3) is None:
             return n
     return None
 
@@ -295,7 +290,7 @@ def prime_witness(g: GroupDescriptorV0, w: Rank3BundleClass) -> tuple[int, bool]
     if w.c3 == 0:
         raise DomainError("prime witness needs a class with c3 != 0")
     p = _next_prime(max(3 * abs(w.c1), 3 * abs(w.c3)))
-    return p, _split_twists(g.base_c1, g.base_c2, p * w.c3) is None
+    return p, is_split_realizable(g.base_c1, g.base_c2, p * w.c3) is None
 
 
 def subgroup_index(g: GroupDescriptorV0, w: Rank3BundleClass):

@@ -1,11 +1,12 @@
 """The group laws build their results without re-validation; check them.
 
 The laws in :mod:`bundle_arith.rank2` and :mod:`bundle_arith.rank3`
-skip the constructors' checks because their results are valid by proof,
-and the quadric solution builders in :mod:`bundle_arith.diophantine`
-skip the field checks on ints they have already checked.  This oracle
-rebuilds every result through the public constructor, which runs the
-full validation, and requires an equal value with int fields.
+skip the constructors' checks because their results are valid by proof.
+The quadric solution builders in :mod:`bundle_arith.diophantine` build
+through the public constructor, which checks the fields and both
+equations.  This oracle rebuilds every result through the public
+constructor, which runs the full validation, and requires an equal value
+with int fields.
 """
 
 import random
@@ -111,8 +112,8 @@ def test_family1_results_pass_the_constructor():
         _check_solution(diophantine.param_family1(u, v, l, w))
 
 
-def test_quadric_builder_keeps_the_equation_checks():
+def test_quadric_constructor_checks_both_equations():
     with pytest.raises(DomainError, match="a \\+ b"):
-        diophantine._solution(1, 0, 0, 0, 0, diophantine.Provenance("brute_force"))
+        diophantine.QuadricSolution(1, 0, 0, 0, 0, diophantine.Provenance("brute_force"))
     with pytest.raises(DomainError, match="differs from ab"):
-        diophantine._solution(1, 1, 0, 2, 0, diophantine.Provenance("brute_force"))
+        diophantine.QuadricSolution(1, 1, 0, 2, 0, diophantine.Provenance("brute_force"))

@@ -107,3 +107,32 @@ def test_no_private_stdlib_names():
         for line, name in _private_stdlib_names(path.read_text("utf-8"))
     ]
     assert not found, found
+
+
+def _object_new_scopes(source):
+    """The enclosing ``def``/``class`` path of each ``object.__new__`` in ``source``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif (isinstance(child, ast.Attribute) and child.attr == "__new__"
+                  and isinstance(child.value, ast.Name) and child.value.id == "object"):
+                found.append(scope)
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_only_the_two_law_builders_skip_the_constructor():
+    # An unchecked builder is kept only where it skips real validation (parity,
+    # alpha, feasibility) on results valid by proof, on a timed path.
+    found = sorted(
+        f"{path.stem}{scope}"
+        for path in SRC.glob("*.py")
+        for scope in _object_new_scopes(path.read_text("utf-8"))
+    )
+    assert found == ["rank2._class", "rank3._class"]

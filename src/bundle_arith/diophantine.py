@@ -42,7 +42,7 @@ BRUTE_FORCE = "brute_force"
 
 # Caps with their worst-case times on a 2-core x86 VM.
 MAX_SCAN_RADIUS = 10**5  # |x| <= min(box, isqrt(a^2 + b^2)) walked: 0.15 s
-MAX_PARAM_BOUND = 24  # (2 param_bound + 1)^3 family-1 points: 0.3 s
+MAX_PARAM_BOUND = 24  # (2 param_bound + 1)^2 pairs (u, v), each solved for l: 0.02 s
 
 
 @dataclass(frozen=True)
@@ -204,10 +204,13 @@ def coverage_check(a: int, b: int, box: int, param_bound: int) -> CoverageReport
     Identity-type solutions are matched by the two-parameter family
     first; everything else is searched for among family-1 parameters
     with |u|, |v|, |l|, |w| <= param_bound (at most
-    :data:`MAX_PARAM_BOUND`).  The base w (a0, b0) = (a, b) or (b, a)
-    fixes w, so (u, v, l) are scanned with at most two scales each, in
-    ascending order, and the first generator in (u, v, l, w) order is
-    recorded; the scan stops once every solution has one.  A box
+    :data:`MAX_PARAM_BOUND`).  The base w (a0, b0) = (p, q), which is
+    (a, b) or (b, a), fixes w and l: with (a0, b0) = (A - v l, u l) and
+    A = u^2 + uv + v^2, p b0 = q a0 reads l (p u + q v) = q A, so each
+    (u, v) is tried only at those l (every l if p u + q v = q A = 0), in
+    ascending order with at most two scales each.  The first generator
+    in (u, v, l, w) order is recorded, as a walk over every (u, v, l)
+    records it, and the scan stops once every solution has one.  A box
     holding no solution raises :class:`DomainError`.
     """
     require_int(param_bound, "param_bound", 0)
@@ -222,18 +225,30 @@ def coverage_check(a: int, b: int, box: int, param_bound: int) -> CoverageReport
 
     wanted = {s.triple for s in targets} - set(matches)
     span = range(-param_bound, param_bound + 1)
-    for u, v, l in product(span, repeat=3):
+    for u, v in product(span, repeat=2):
         if not wanted:
             break
-        x0, y0, z0, a0, b0 = _family1_point(u, v, l)
-        if not (a0 or b0):
-            continue  # the zero triple, matched above as the identity one
-        for w in sorted({p // a0 if a0 else q // b0 for p, q in ((a, b), (b, a))}):
-            if abs(w) <= param_bound and (w * a0, w * b0) in ((a, b), (b, a)):
-                key = _canonical((w * x0, w * y0, w * z0))
-                if key in wanted:
-                    matches[key] = Provenance(FAMILY1, (u, v, l, w))
-                    wanted.discard(key)
+        # w (a0, b0) = (p, q) with (a0, b0) = (A - v l, u l) forces l (p u + q v) = q A
+        big_a = u * u + u * v + v * v
+        ls: set[int] = set()
+        for p, q in ((a, b), (b, a)):
+            c = p * u + q * v
+            if c:
+                l, r = divmod(q * big_a, c)
+                if not r and abs(l) <= param_bound:
+                    ls.add(l)
+            elif not q * big_a:
+                ls.update(span)
+        for l in sorted(ls):
+            x0, y0, z0, a0, b0 = _family1_point(u, v, l)
+            if not (a0 or b0):
+                continue  # the zero triple, matched above as the identity one
+            for w in sorted({p // a0 if a0 else q // b0 for p, q in ((a, b), (b, a))}):
+                if abs(w) <= param_bound and (w * a0, w * b0) in ((a, b), (b, a)):
+                    key = _canonical((w * x0, w * y0, w * z0))
+                    if key in wanted:
+                        matches[key] = Provenance(FAMILY1, (u, v, l, w))
+                        wanted.discard(key)
     matched = []
     unmatched = []
     for sol in targets:

@@ -66,6 +66,7 @@ MAX_SEARCH_EXTENT = 66  # max|c1| + c2 bound of generation_closure's search box:
 
 def epsilon(a: int) -> int:
     """Z/2 correction term of the plain group law: 1 iff a = 4 (mod 8)."""
+    require_int(a, "a")
     if a % 2:
         raise DomainError(f"epsilon is defined for even integers only, got {a}")
     return 1 if a % 8 == 4 else 0
@@ -73,6 +74,8 @@ def epsilon(a: int) -> int:
 
 def delta(c1: int, c2: int) -> int:
     """Normalized discriminant (c1^2 - 4*c2) / 4; needs even c1 for integrality."""
+    require_int(c1, "c1")
+    require_int(c2, "c2")
     if c1 % 2:
         raise DomainError(f"delta needs an even c1, got {c1}")
     return (c1 * c1 - 4 * c2) // 4
@@ -85,7 +88,7 @@ def alpha_extendable(c1: int, c2: int) -> int:
     when 12 divides D(D-1); split classes always qualify.  Outside that
     range the formula is silent, so the call fails rather than guess.
     """
-    d = delta(c1, c2)
+    d = delta(c1, c2)  # which checks that c1 and c2 are integers
     m = d * (d - 1)
     if m % 12:
         raise FormulaNotApplicableError(
@@ -101,6 +104,7 @@ def alpha_balanced_split(b: int) -> int:
     b^2(b+1)(b-1) is always divisible by 4; alpha is the parity of the
     quotient, which is 1 exactly when b = 2 (mod 4).
     """
+    require_int(b, "b")
     m = b * b * (b + 1) * (b - 1)
     return (m // 4) % 2
 
@@ -143,6 +147,8 @@ def split_rank2(x: int, y: int) -> Rank2BundleClass:
     that first class is even, alpha comes from the extendable-class
     formula (split bundles always extend).
     """
+    require_int(x, "x")
+    require_int(y, "y")
     c1, c2 = x + y, x * y
     if c1 % 2:
         return Rank2BundleClass(c1, c2)
@@ -306,6 +312,8 @@ def _twist(c1: int, c2: int, k: int) -> tuple[int, int]:
 
 def count_classes(c1: int, c2: int) -> int:
     """Number of rank-2 classes on CP^3 with the given Chern pair: 0, 1, or 2."""
+    require_int(c1, "c1")
+    require_int(c2, "c2")
     if (c1 * c2) % 2:
         return 0
     return 2 if c1 % 2 == 0 else 1

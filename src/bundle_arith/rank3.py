@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .cohomology import ChernVector, feasible_c3_lattice, is_feasible
+from .cohomology import ChernVector, _require_within, feasible_c3_lattice, is_feasible
 from .errors import ConsistencyError, DomainError, require_int
 
 __all__ = [
@@ -86,6 +86,8 @@ def _class(c1: int, c2: int, c3: int) -> Rank3BundleClass:
 
 def split_rank3(x: int, y: int, z: int) -> Rank3BundleClass:
     """Class of O(x) + O(y) + O(z): elementary symmetric functions."""
+    for name, value in (("x", x), ("y", y), ("z", z)):
+        require_int(value, name)
     return Rank3BundleClass(x + y + z, x * y + y * z + z * x, x * y * z)
 
 
@@ -176,11 +178,14 @@ class GroupDescriptorV0:
 def make_group(base_c1: int, base_c2: int, scan: int) -> GroupDescriptorV0:
     """Descriptor for the group over base (base_c1, base_c2), capped by ``scan``.
 
-    :func:`feasible_c3_lattice` rejects, in this order, a bad ``scan``, an
-    infeasible base and a c3 spacing above ``scan``.
+    Rejects, in this order, a bad ``scan``, an infeasible base and a c3
+    spacing above ``scan``, as :func:`feasible_c3_lattice` does; the
+    lattice pass runs once, inside the descriptor.
     """
-    feasible_c3_lattice(base_c1, base_c2, scan)
-    return GroupDescriptorV0(base_c1, base_c2)
+    require_int(scan, "scan bound", 1)
+    g = GroupDescriptorV0(base_c1, base_c2)
+    _require_within(base_c1, base_c2, g.c3_generator, scan)
+    return g
 
 
 def _require_member(g: GroupDescriptorV0, v: Rank3BundleClass) -> None:

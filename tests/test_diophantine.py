@@ -1,10 +1,11 @@
 """Tests for the quadric parametrization of split elements.
 
 The exhaustive searches that the library no longer runs survive here as
-oracles: a box^2 scan over (x, y) for the enumeration, and a scan over
-all four family-1 parameters (u, v, l, w) for the coverage report.  The
-quadric form Q and the coordinate change onto it live here too, as the
-oracles for the family-1 derivation.
+oracles: a box^2 scan over (x, y) for the enumeration, and for the
+coverage report both a scan over all four family-1 parameters (u, v, l,
+w) and a walk over every (u, v, l), of which coverage_check tries only
+the l that can match.  The quadric form Q and the coordinate change
+onto it live here too, as the oracles for the family-1 derivation.
 """
 
 import random
@@ -13,6 +14,7 @@ from itertools import permutations, product
 
 import pytest
 
+from bundle_arith import diophantine
 from bundle_arith.diophantine import (
     BRUTE_FORCE,
     FAMILY1,
@@ -84,6 +86,42 @@ def _coverage_scan(a, b, box, param_bound):
                 if (w * a0, w * u * l) in ((a, b), (b, a)):
                     key = _canonical((w * x0, w * u * (l - v), w * u * (u + v)))
                     matches.setdefault(key, (FAMILY1, (u, v, l, w)))
+    matched = [(t, *matches[t]) for t in targets if t in matches]
+    return matched, [t for t in targets if t not in matches]
+
+
+def _uvl_scan(a, b, box, param_bound):
+    """Matched (triple, kind, params) and unmatched triples, walking every (u, v, l).
+
+    The identity-type match comes first; then each (u, v, l) in order is
+    tried with the at most two scales its base allows, the first
+    generator in (u, v, l, w) order is recorded, and the walk stops once
+    every triple has one.
+    """
+    targets = _box_scan(a, b, box)
+    matches = {}
+    if max(abs(a), abs(b)) <= param_bound:
+        matches[_canonical((a, b, 0))] = (FAMILY2, (b, a, 1))
+    wanted = set(targets) - set(matches)
+    span = range(-param_bound, param_bound + 1)
+    bases = ((a, b), (b, a))
+    for u, v, l in product(span, repeat=3):
+        if not wanted:
+            break
+        x0 = v * (v + u - l)
+        a0, b0 = u * u + x0, u * l
+        if a0:
+            scales = sorted((a // a0, b // a0))
+        elif b0:
+            scales = sorted((b // b0, a // b0))
+        else:
+            continue  # the zero triple
+        for w in scales:
+            if abs(w) <= param_bound and (w * a0, w * b0) in bases:
+                key = _canonical((w * x0, w * u * (l - v), w * u * (u + v)))
+                if key in wanted:
+                    matches[key] = (FAMILY1, (u, v, l, w))
+                    wanted.discard(key)
     matched = [(t, *matches[t]) for t in targets if t in matches]
     return matched, [t for t in targets if t not in matches]
 
@@ -284,6 +322,34 @@ class TestCoverage:
                 matched = [(s.triple, p.kind, p.params) for s, p in report.matched]
                 assert matched == expected_matched, (a, b, box, bound)
                 assert [s.triple for s in report.unmatched] == expected_unmatched
+
+    def test_matches_uvl_scan_at_benchmark_scale(self):
+        cases = [
+            (a, b, 6, bound)
+            for a, b in ((3, 0), (-3, -3), (4, -1), (0, 3))
+            for bound in (16, 20)
+        ]
+        for a, b, box, bound in cases + [(-34, -25, 40, MAX_PARAM_BOUND)]:
+            report = coverage_check(a, b, box, bound)
+            matched = [(s.triple, p.kind, p.params) for s, p in report.matched]
+            unmatched = [s.triple for s in report.unmatched]
+            assert (matched, unmatched) == _uvl_scan(a, b, box, bound), (a, b, box, bound)
+
+    def test_family1_points_within_span_squared(self, monkeypatch):
+        # solving for l evaluates far fewer than the (2P+1)^3 points of a full walk
+        calls = 0
+        point = diophantine._family1_point
+
+        def counting_point(*args):
+            nonlocal calls
+            calls += 1
+            return point(*args)
+
+        monkeypatch.setattr(diophantine, "_family1_point", counting_point)
+        for args in ((-34, -25, 40, MAX_PARAM_BOUND), (3, 0, 6, MAX_PARAM_BOUND)):
+            calls = 0
+            coverage_check(*args)
+            assert calls <= (2 * MAX_PARAM_BOUND + 1) ** 2, (args, calls)
 
     def test_opposite_base_records_the_smaller_scale(self):
         # over (4, -4) both w = -1 and w = 1 reach (4, 0, -4); -1 comes first

@@ -44,6 +44,22 @@ ENTRY_POINTS = {
     "feasible_c3_lattice": (
         "scan bound", lambda x: cohomology.feasible_c3_lattice(3, 0, x)
     ),
+    "epsilon": ("a", lambda x: rank2.epsilon(x)),
+    "delta-c1": ("c1", lambda x: rank2.delta(x, 0)),
+    "delta-c2": ("c2", lambda x: rank2.delta(0, x)),
+    "alpha_extendable-c1": ("c1", lambda x: rank2.alpha_extendable(x, 0)),
+    "alpha_extendable-c2": ("c2", lambda x: rank2.alpha_extendable(0, x)),
+    "alpha_balanced_split": ("b", lambda x: rank2.alpha_balanced_split(x)),
+    "count_classes-c1": ("c1", lambda x: rank2.count_classes(x, 0)),
+    "count_classes-c2": ("c2", lambda x: rank2.count_classes(0, x)),
+    "split_rank2-x": ("x", lambda x: rank2.split_rank2(x, 0)),
+    "split_rank2-y": ("y", lambda x: rank2.split_rank2(0, x)),
+    **{
+        f"split_rank3-{t}": (
+            t, lambda x, i=i: rank3.split_rank3(*_replaced((0, 0, 0), i, x))
+        )
+        for i, t in enumerate("xyz")
+    },
     "Rank2BundleClass-c1": ("c1", lambda x: rank2.Rank2BundleClass(x, 0, 0)),
     "Rank2BundleClass-c2": ("c2", lambda x: rank2.Rank2BundleClass(1, x)),
     **{

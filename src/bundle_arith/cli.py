@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from . import acceptance, cohomology, diophantine, rank2, rank3
 from .errors import ConsistencyError, DomainError
@@ -404,153 +405,105 @@ def _cmd_report(args):
     return payload, notes
 
 
-def _args_feasible(p):
-    p.add_argument("rank", type=int)
-    p.add_argument("dim", type=int)
-    p.add_argument("chern", type=int, nargs="+")
-    p.set_defaults(handler=_cmd_feasible)
+# Shared arguments.  Every argument is an int unless its kwargs give an
+# ``action`` or another ``type``.
+_RANK2_CLASS = {"nargs": "+", "required": True, "metavar": "INT"}
+_RANK3_CLASS = {"nargs": 3, "required": True, "metavar": ("C1", "C2", "C3")}
+_GROUP = (("--base", {"nargs": 2, "required": True, "metavar": ("C1", "C2")}),
+          ("--scan", {"default": 24}))
+
+# One row per command: its path, its help (the rank3 and quadric subcommands
+# are listed without one), its handler (none for the root and the groups) and
+# its arguments as (flag, kwargs) pairs in add_argument order.  A list of
+# pairs in place of a pair is a required, mutually exclusive group.
+COMMANDS = (
+    ((), None, None, (
+        ("--json", {"action": "store_true", "help": "machine-readable output"}),
+        ("--out", {"type": str, "metavar": "FILE", "help": "also write the output to FILE"}),
+    )),
+    (("feasible",), "integrality test for Chern data", _cmd_feasible,
+     (("rank", {}), ("dim", {}), ("chern", {"nargs": "+"}))),
+    (("count-rank2",), "number of rank-2 classes on CP^3", _cmd_count_rank2,
+     (("c1", {}), ("c2", {}))),
+    (("alpha",), "alpha invariant of a rank-2 class", _cmd_alpha, ([
+        ("--split", {"nargs": 2, "metavar": ("X", "Y")}),
+        ("--chern", {"nargs": 2, "metavar": ("C1", "C2")}),
+    ],)),
+    (("add-rank2",), "group sum of two rank-2 classes", _cmd_add_rank2, (
+        ("--a1", {"required": True}),
+        ("--v", _RANK2_CLASS),
+        ("--w", _RANK2_CLASS),
+        ("--shift", {"metavar": "B"}),
+    )),
+    (("horrocks",), "Horrocks sum of two rank-2 classes", _cmd_horrocks,
+     (("--v", _RANK2_CLASS), ("--w", _RANK2_CLASS))),
+    (("agree",), "sweep: Horrocks sum equals the group sum", _cmd_agree,
+     (("--c1-min", {"default": -40}), ("--c2-bound", {"default": 10}))),
+    (("tensor",), "tensor a rank-2 class by a line bundle", _cmd_tensor,
+     (("--v", _RANK2_CLASS), ("--k", {"required": True}))),
+    (("generate",), "closure of split classes in a box", _cmd_generate, (
+        ("--c1-min", {"required": True}),
+        ("--c1-max", {"required": True}),
+        ("--c2-bound", {"required": True}),
+        ("--search-c1-min", {}),
+        ("--search-c1-max", {}),
+        ("--search-c2-bound", {}),
+    )),
+    (("rank3",), "rank-3 groups on CP^5", None, ()),
+    (("rank3", "add"), None, _cmd_rank3_add,
+     (*_GROUP, ("--v", _RANK3_CLASS), ("--w", _RANK3_CLASS))),
+    (("rank3", "iterate"), None, _cmd_rank3_iterate,
+     (*_GROUP, ("--w", _RANK3_CLASS), ("--n", {"required": True}))),
+    (("rank3", "index"), None, _cmd_rank3_index,
+     (*_GROUP, ("--class", {"dest": "cls", **_RANK3_CLASS}))),
+    (("rank3", "split"), None, _cmd_rank3_split,
+     (("--class", {"dest": "cls", **_RANK3_CLASS}),)),
+    (("rank3", "prime-witness"), None, _cmd_rank3_prime_witness,
+     (*_GROUP, ("--w", _RANK3_CLASS))),
+    (("quadric",), "split elements as quadric points", None, ()),
+    (("quadric", "solve"), None, _cmd_quadric_solve,
+     (("a", {}), ("b", {}), ("--box", {"default": 6}), ("--raw", {"action": "store_true"}))),
+    (("quadric", "param1"), None, _cmd_quadric_param1,
+     (("u", {}), ("l", {}), ("v", {}), ("w", {}))),
+    (("quadric", "param2"), None, _cmd_quadric_param2, (("t", {}), ("l", {}))),
+    (("quadric", "cover"), None, _cmd_quadric_cover,
+     (("a", {}), ("b", {}), ("--box", {"default": 6}), ("--param-bound", {"default": 12}))),
+    (("report",), "run the acceptance suite", _cmd_report,
+     (("--only", {"type": str, "nargs": "+", "choices": sorted(acceptance.CRITERIA),
+                  "metavar": "KEY"}),)),
+)
+_CHILDREN = {path: [row for row in COMMANDS if row[0] and row[0][:-1] == path]
+             for path, _, _, _ in COMMANDS}
 
 
-def _args_count_rank2(p):
-    p.add_argument("c1", type=int)
-    p.add_argument("c2", type=int)
-    p.set_defaults(handler=_cmd_count_rank2)
+def _add_arguments(p, arguments):
+    for argument in arguments:
+        if isinstance(argument, list):
+            _add_arguments(p.add_mutually_exclusive_group(required=True), argument)
+        else:
+            flag, kwargs = argument
+            p.add_argument(flag, **(kwargs if "action" in kwargs else {"type": int, **kwargs}))
 
 
-def _args_alpha(p):
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--split", type=int, nargs=2, metavar=("X", "Y"))
-    mode.add_argument("--chern", type=int, nargs=2, metavar=("C1", "C2"))
-    p.set_defaults(handler=_cmd_alpha)
-
-
-def _args_add_rank2(p):
-    p.add_argument("--a1", type=int, required=True)
-    p.add_argument("--v", type=int, nargs="+", required=True, metavar="INT")
-    p.add_argument("--w", type=int, nargs="+", required=True, metavar="INT")
-    p.add_argument("--shift", type=int, default=None, metavar="B")
-    p.set_defaults(handler=_cmd_add_rank2)
-
-
-def _args_horrocks(p):
-    p.add_argument("--v", type=int, nargs="+", required=True, metavar="INT")
-    p.add_argument("--w", type=int, nargs="+", required=True, metavar="INT")
-    p.set_defaults(handler=_cmd_horrocks)
-
-
-def _args_agree(p):
-    p.add_argument("--c1-min", type=int, default=-40)
-    p.add_argument("--c2-bound", type=int, default=10)
-    p.set_defaults(handler=_cmd_agree)
-
-
-def _args_tensor(p):
-    p.add_argument("--v", type=int, nargs="+", required=True, metavar="INT")
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_tensor)
-
-
-def _args_generate(p):
-    p.add_argument("--c1-min", type=int, required=True)
-    p.add_argument("--c1-max", type=int, required=True)
-    p.add_argument("--c2-bound", type=int, required=True)
-    p.add_argument("--search-c1-min", type=int, default=None)
-    p.add_argument("--search-c1-max", type=int, default=None)
-    p.add_argument("--search-c2-bound", type=int, default=None)
-    p.set_defaults(handler=_cmd_generate)
-
-
-def _args_rank3_command(handler, *, base=True, v=False, w=False, cls=False, n=False):
-    """The argument-adding function of one ``rank3`` subcommand."""
-
-    def add_arguments(q):
-        if base:
-            q.add_argument("--base", type=int, nargs=2, required=True, metavar=("C1", "C2"))
-            q.add_argument("--scan", type=int, default=24)
-        if v:
-            q.add_argument("--v", type=int, nargs=3, required=True, metavar=("C1", "C2", "C3"))
-        if w:
-            q.add_argument("--w", type=int, nargs=3, required=True, metavar=("C1", "C2", "C3"))
-        if cls:
-            q.add_argument("--class", dest="cls", type=int, nargs=3, required=True,
-                           metavar=("C1", "C2", "C3"))
-        if n:
-            q.add_argument("--n", type=int, required=True)
-        q.set_defaults(handler=handler)
-
-    return add_arguments
-
-
-def _args_rank3(p):
-    sub = p.add_subparsers(dest="rank3_command", required=True, parser_class=_LazyParser)
-    sub.add_parser("add", build=_args_rank3_command(_cmd_rank3_add, v=True, w=True))
-    sub.add_parser("iterate", build=_args_rank3_command(_cmd_rank3_iterate, w=True, n=True))
-    sub.add_parser("index", build=_args_rank3_command(_cmd_rank3_index, cls=True))
-    sub.add_parser("split", build=_args_rank3_command(_cmd_rank3_split, base=False, cls=True))
-    sub.add_parser("prime-witness", build=_args_rank3_command(_cmd_rank3_prime_witness, w=True))
-
-
-def _args_quadric_solve(q):
-    q.add_argument("a", type=int)
-    q.add_argument("b", type=int)
-    q.add_argument("--box", type=int, default=6)
-    q.add_argument("--raw", action="store_true")
-    q.set_defaults(handler=_cmd_quadric_solve)
-
-
-def _args_quadric_param1(q):
-    q.add_argument("u", type=int)
-    q.add_argument("l", type=int)
-    q.add_argument("v", type=int)
-    q.add_argument("w", type=int)
-    q.set_defaults(handler=_cmd_quadric_param1)
-
-
-def _args_quadric_param2(q):
-    q.add_argument("t", type=int)
-    q.add_argument("l", type=int)
-    q.set_defaults(handler=_cmd_quadric_param2)
-
-
-def _args_quadric_cover(q):
-    q.add_argument("a", type=int)
-    q.add_argument("b", type=int)
-    q.add_argument("--box", type=int, default=6)
-    q.add_argument("--param-bound", type=int, default=12)
-    q.set_defaults(handler=_cmd_quadric_cover)
-
-
-def _args_quadric(p):
-    sub = p.add_subparsers(dest="quadric_command", required=True, parser_class=_LazyParser)
-    sub.add_parser("solve", build=_args_quadric_solve)
-    sub.add_parser("param1", build=_args_quadric_param1)
-    sub.add_parser("param2", build=_args_quadric_param2)
-    sub.add_parser("cover", build=_args_quadric_cover)
-
-
-def _args_report(p):
-    p.add_argument("--only", nargs="+", choices=sorted(acceptance.CRITERIA),
-                   metavar="KEY")
-    p.set_defaults(handler=_cmd_report)
+def _build(parser, row):
+    """Add the arguments of the command in ``row``, then its subcommands' lazy parsers."""
+    path, _, handler, arguments = row
+    _add_arguments(parser, arguments)
+    if handler is not None:
+        parser.set_defaults(handler=handler)
+    if _CHILDREN[path]:
+        sub = parser.add_subparsers(dest="_".join((*path, "command")), required=True,
+                                    parser_class=_LazyParser)
+        for child in _CHILDREN[path]:
+            help_text = child[1]
+            sub.add_parser(child[0][-1], build=partial(_build, row=child),
+                           **({} if help_text is None else {"help": help_text}))
 
 
 def build_parser() -> _Parser:
     """The top-level parser; a subcommand's parser is built when it is invoked."""
     parser = _Parser(prog="bundle-arith", description=__doc__)
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--out", metavar="FILE", help="also write the output to FILE")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_LazyParser)
-    sub.add_parser("feasible", build=_args_feasible, help="integrality test for Chern data")
-    sub.add_parser("count-rank2", build=_args_count_rank2, help="number of rank-2 classes on CP^3")
-    sub.add_parser("alpha", build=_args_alpha, help="alpha invariant of a rank-2 class")
-    sub.add_parser("add-rank2", build=_args_add_rank2, help="group sum of two rank-2 classes")
-    sub.add_parser("horrocks", build=_args_horrocks, help="Horrocks sum of two rank-2 classes")
-    sub.add_parser("agree", build=_args_agree, help="sweep: Horrocks sum equals the group sum")
-    sub.add_parser("tensor", build=_args_tensor, help="tensor a rank-2 class by a line bundle")
-    sub.add_parser("generate", build=_args_generate, help="closure of split classes in a box")
-    sub.add_parser("rank3", build=_args_rank3, help="rank-3 groups on CP^5")
-    sub.add_parser("quadric", build=_args_quadric, help="split elements as quadric points")
-    sub.add_parser("report", build=_args_report, help="run the acceptance suite")
+    _build(parser, COMMANDS[0])
     return parser
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import bundle_arith
 from bundle_arith.cli import (
+    COMMANDS,
     EXIT_CONSISTENCY,
     EXIT_DOMAIN,
     EXIT_OK,
@@ -485,6 +486,12 @@ FUZZ_COMMANDS = (
     "rank3 split", "rank3 prime-witness", "quadric solve", "quadric param1",
     "quadric param2", "quadric cover",
 )
+
+
+def test_fuzz_commands_are_the_table_leaves():
+    # report is left out: its cost is its acceptance budget, not 1 s
+    leaves = [" ".join(path) for path, _, handler, _ in COMMANDS if handler is not None]
+    assert list(FUZZ_COMMANDS) == [c for c in leaves if c != "report"]
 
 
 def test_cli_fuzz(capsys):

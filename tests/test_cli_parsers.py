@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import bundle_arith
-from bundle_arith.cli import EXIT_OK, build_parser, main
+from bundle_arith.cli import COMMANDS, EXIT_OK, build_parser, main
 
 HERE = Path(__file__).parent
 GOLDEN_HELP = json.loads((HERE / "golden_help.json").read_text("utf-8"))
@@ -74,7 +74,15 @@ def test_each_call_builds_only_its_own_parsers(capsys, monkeypatch, line):
     assert main(["--json", *argv]) == EXIT_OK
     capsys.readouterr()
     # the top-level parser, then one per word of the command path
-    assert len(built) <= (3 if argv[0] in ("rank3", "quadric") else 2), built
+    assert len(built) == (3 if argv[0] in ("rank3", "quadric") else 2), built
+
+
+def test_every_command_covers_the_table():
+    leaves = {path for path, _, handler, _ in COMMANDS if handler is not None}
+    covered = {path for path in leaves for line in EVERY_COMMAND
+               if tuple(line.split()[:len(path)]) == path}
+    assert covered == leaves
+    assert len(EVERY_COMMAND) == len(leaves)
 
 
 def test_a_built_parser_parses_again():

@@ -1,6 +1,7 @@
 """Tests for rank-2 classes, their group laws, and the generation search."""
 
 import heapq
+import math
 import random
 import time
 from functools import lru_cache
@@ -126,9 +127,22 @@ class TestSplitAndClassValidation:
 
 class TestPlainGroup:
     def test_identity_alpha_is_epsilon(self):
-        for a1 in range(-20, 21, 2):
-            g = GroupDescriptorA1(a1)
-            assert g.identity.alpha == epsilon(a1)
+        for a1 in range(-4000, 4001, 2):
+            assert GroupDescriptorA1(a1).identity.alpha == epsilon(a1), a1
+
+    def test_identity_alpha_is_epsilon_for_every_even_a1(self):
+        # The plain identity O(2n) + O has delta = n^2, so its alpha is
+        # f(n)/12 mod 2 with f(n) = n^2 (n^2 - 1), and epsilon(2n) is
+        # [n = 2 (mod 4)].  f(n + 24) - f(n) has integer coefficients all
+        # divisible by 24, and 12 divides f(n), so alpha depends only on
+        # n mod 24, as epsilon does; 24 residues then prove the equality.
+        f = (0, 0, -1, 0, 1)  # coefficients of f, lowest degree first
+        shift = [sum(f[j] * math.comb(j, k) * 24 ** (j - k) for j in range(k, 5)) - f[k]
+                 for k in range(5)]
+        assert all(c % 24 == 0 for c in shift)
+        for n in range(24):
+            assert (n * n * (n * n - 1)) % 12 == 0
+            assert GroupDescriptorA1(2 * n).identity.alpha == epsilon(2 * n), n
 
     def test_identity_axiom(self):
         rng = random.Random(3)

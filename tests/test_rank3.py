@@ -225,9 +225,15 @@ class TestPrimality:
             assert _is_prime(n) == trial(n), n
 
     def test_strong_pseudoprimes_rejected(self):
-        # 2047 fools base 2 alone; 3215031751 fools bases 2, 3, 5 and 7
-        assert not _is_prime(2047)
-        assert not _is_prime(3215031751)
+        # 2047 fools base 2 alone; 3215031751 fools bases 2, 3, 5 and 7.
+        # The next five are the least strong pseudoprimes to the first 5, 6,
+        # 8, 11 and 12 prime bases (Jaeschke, "On strong pseudoprimes to
+        # several bases", Math. Comp. 61, 1993; Sorenson and Webster, Math.
+        # Comp. 86, 2017), so every proper prefix of _MR_BASES lets one through.
+        for n in (2047, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+                  3825123056546413051, 399165290221 * 798330580441):
+            assert n < _PRIMALITY_BOUND
+            assert not _is_prime(n), n
         assert _is_prime(1200000000053)
 
 

@@ -155,12 +155,40 @@ def check_nonsplit_witnesses() -> tuple[bool, str]:
     return ok, "; ".join(parts)
 
 
-def _rand_rank2(rng, a1):
-    """A random class over a1: one draw for c2 (doubled for odd a1), one for even a1's alpha."""
-    c2 = rng.randint(-30, 30)
+def _rank2_pool(a1):
+    """Every class :func:`_rand_rank2` can draw over a1, built once by the checked constructor.
+
+    Row i has c2 = i - 30 (doubled at odd a1); at even a1 it is the
+    pair of classes with alpha 0 and 1.
+    """
     if a1 % 2:
-        return rank2.Rank2BundleClass(a1, 2 * c2)
-    return rank2.Rank2BundleClass(a1, c2, rng.randint(0, 1))
+        return [rank2.Rank2BundleClass(a1, 2 * c2) for c2 in range(-30, 31)]
+    return [
+        (rank2.Rank2BundleClass(a1, c2, 0), rank2.Rank2BundleClass(a1, c2, 1))
+        for c2 in range(-30, 31)
+    ]
+
+
+def _rand_rank2(rng, pool):
+    """A random class from a pool: one draw for the row, one for even a1's alpha.
+
+    ``rng.choice(seq)`` makes the same ``_randbelow(len(seq))`` call as
+    ``randint`` over a range of that length, so the draws and the RNG
+    state are those of ``randint(-30, 30)`` and then ``randint(0, 1)``.
+    """
+    row = rng.choice(pool)
+    return rng.choice(row) if type(row) is tuple else row
+
+
+def _rank3_pool(g):
+    """Every class the rank-3 draw can return over g's base: c3 = k d for k in [-12, 12].
+
+    ``rng.choice`` on it draws as ``randint(-12, 12)`` does (see :func:`_rand_rank2`).
+    """
+    return [
+        rank3.Rank3BundleClass(g.base_c1, g.base_c2, g.c3_generator * k)
+        for k in range(-12, 13)
+    ]
 
 
 def _axioms(draw, add, e, inverse, triples) -> bool:
@@ -171,9 +199,10 @@ def _axioms(draw, add, e, inverse, triples) -> bool:
     """
     for _ in range(triples):
         x, y, z = draw(), draw(), draw()
+        xy = add(x, y)
         if (
-            add(add(x, y), z) != add(x, add(y, z))
-            or add(x, y) != add(y, x)
+            add(xy, z) != add(x, add(y, z))
+            or xy != add(y, x)
             or add(x, e) != x
             or add(x, inverse(x)) != e
         ):
@@ -185,30 +214,35 @@ def check_group_axioms() -> tuple[bool, str]:
     """Random property suites for the three group structures plus mixed associativity."""
     rng = random.Random(1729)
     a1s = range(-10, 11)
+    pools = {a1: _rank2_pool(a1) for a1 in a1s}
+    # triples per a1, per (a1, b) and per rank-3 base; the details count from these
+    plain_n, shifted_n, rank3_n = 1000, 10, 110
     ok = True
 
     for a1 in a1s:
         plain = rank2.GroupDescriptorA1(a1)
-        draw = partial(_rand_rank2, rng, a1)
+        draw = partial(_rand_rank2, rng, pools[a1])
         inverse = partial(rank2.negate, plain)
-        ok &= _axioms(draw, partial(rank2.add, plain), plain.identity, inverse, 1000)
-    parts = [f"plain law: {len(a1s) * 1000} random triples over a1 in [-10, 10]"]
+        ok &= _axioms(draw, partial(rank2.add, plain), plain.identity, inverse, plain_n)
+    parts = [f"plain law: {len(a1s) * plain_n} random triples over a1 in [-10, 10]"]
 
     bs = range(-5, 6)
     for a1 in a1s:
         plain = rank2.GroupDescriptorA1(a1)
-        draw = partial(_rand_rank2, rng, a1)
+        draw = partial(_rand_rank2, rng, pools[a1])
         for b in bs:
             g = rank2.GroupDescriptorA1(a1, b)
             e = g.identity
             if b:
                 # the inverse of x is e + e - x in the plain arithmetic
+                ee = rank2.add(plain, e, e)
+
                 def inverse(x):
-                    return rank2.add(plain, rank2.add(plain, e, e), rank2.negate(plain, x))
+                    return rank2.add(plain, ee, rank2.negate(plain, x))
             else:
                 inverse = partial(rank2.negate, plain)
-            ok &= _axioms(draw, partial(rank2.add, g), e, inverse, 10)
-    parts.append(f"shifted law: {len(a1s) * len(bs) * 10} random triples, b in [-5, 5]")
+            ok &= _axioms(draw, partial(rank2.add, g), e, inverse, shifted_n)
+    parts.append(f"shifted law: {len(a1s) * len(bs) * shifted_n} random triples, b in [-5, 5]")
 
     mixed = 120
     for _ in range(mixed):
@@ -216,7 +250,7 @@ def check_group_axioms() -> tuple[bool, str]:
         b = rng.randint(-5, 5)
         plain = rank2.GroupDescriptorA1(a1)
         shifted = rank2.GroupDescriptorA1(a1, b)
-        v, w, z = (_rand_rank2(rng, a1) for _ in range(3))
+        v, w, z = (_rand_rank2(rng, pools[a1]) for _ in range(3))
         lhs = rank2.add(shifted, rank2.add(plain, v, w), z)
         rhs = rank2.add(plain, v, rank2.add(shifted, w, z))
         ok &= lhs == rhs
@@ -230,15 +264,13 @@ def check_group_axioms() -> tuple[bool, str]:
             bases.append(base)
     for base in bases:
         g = rank3.GroupDescriptorV0(*base)
-
-        def draw():
-            return rank3.Rank3BundleClass(*base, g.c3_generator * rng.randint(-12, 12))
+        draw = partial(rng.choice, _rank3_pool(g))
 
         def inverse(x):
             return rank3.Rank3BundleClass(*base, -x.c3)
 
-        ok &= _axioms(draw, partial(rank3.add, g), g.identity, inverse, 110)
-    parts.append(f"rank-3 law: {len(bases) * 110} random triples over {len(bases)} bases")
+        ok &= _axioms(draw, partial(rank3.add, g), g.identity, inverse, rank3_n)
+    parts.append(f"rank-3 law: {len(bases) * rank3_n} random triples over {len(bases)} bases")
     return ok, "; ".join(parts)
 
 

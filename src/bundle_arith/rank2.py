@@ -189,13 +189,15 @@ def add(
     c2 (e = O(a1 - b) + O(b) has one even twist), so c2 stays even, and
     for even a1 the alpha is a sum of ints mod 2.
     """
-    _require_member(g, v)
-    _require_member(g, w)
+    a1 = g.a1
+    if v.c1 != a1 or w.c1 != a1:
+        _require_member(g, v)
+        _require_member(g, w)
     e = g.identity
     c2 = v.c2 + w.c2 - e.c2
     if e.alpha is None:
-        return _class(g.a1, c2)
-    return _class(g.a1, c2, (v.alpha + w.alpha + e.alpha) % 2)
+        return _class(a1, c2)
+    return _class(a1, c2, (v.alpha + w.alpha + e.alpha) % 2)
 
 
 def negate(g: GroupDescriptorA1, v: Rank2BundleClass) -> Rank2BundleClass:
@@ -206,7 +208,8 @@ def negate(g: GroupDescriptorA1, v: Rank2BundleClass) -> Rank2BundleClass:
     inverse needs no re-check: for odd a1, c2(v) is even, so
     2 c2(e) - c2(v) is too, and alpha is carried over.
     """
-    _require_member(g, v)
+    if v.c1 != g.a1:
+        _require_member(g, v)
     return _class(g.a1, 2 * g.identity.c2 - v.c2, v.alpha)
 
 

@@ -65,8 +65,10 @@ def _todd(n):
 
 @lru_cache(maxsize=None)
 def _twisted_todd(n, twist):
-    """Td(CP^n) e^(twist h), truncated at degree n."""
-    return _mul(list(_todd(n)), _exp(n, twist))
+    """Td(CP^n) e^(twist h), truncated at degree n, as integer numerators over one denominator."""
+    td = _mul(list(_todd(n)), _exp(n, twist))
+    den = math.lcm(*(c.denominator for c in td))
+    return tuple(c.numerator * (den // c.denominator) for c in td), den
 
 
 def _chi_oracle(v, twist):
@@ -80,12 +82,13 @@ def _chi_oracle(v, twist):
     for m in range(1, n + 1):
         power = _mul(power, x)
         log = [a + (-1) ** (m + 1) * (scale // m) * b for a, b in zip(log, power)]
-    ch = [Fraction(v.rank)] + [
-        Fraction((-1) ** (k + 1) * k * log[k], scale * math.factorial(k))
-        for k in range(1, n + 1)
+    # ch_k = (-1)^(k+1) k log_k / (scale k!), as numerators over scale n!
+    fact = math.factorial(n)
+    ch = [v.rank * scale * fact] + [
+        (-1) ** (k + 1) * k * log[k] * (fact // math.factorial(k)) for k in range(1, n + 1)
     ]
-    td = _twisted_todd(n, twist)
-    return sum(ch[k] * td[n - k] for k in range(n + 1))
+    td, den = _twisted_todd(n, twist)
+    return Fraction(sum(ch[k] * td[n - k] for k in range(n + 1)), scale * fact * den)
 
 
 class TestSeries:

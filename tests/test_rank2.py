@@ -211,6 +211,26 @@ class TestPlainGroup:
         with pytest.raises(DomainError):
             add(g, split_rank2(1, 1), split_rank2(0, 0))
 
+    @pytest.mark.parametrize(
+        "v,w,message",
+        [
+            ((2, 1, 0), (-2, 4, 1), "class has c1 = 2, expected a1 = -2"),
+            ((-2, 4, 1), (-3, 0, None), "class has c1 = -3, expected a1 = -2"),
+            ((2, 1, 0), (-3, 0, None), "class has c1 = 2, expected a1 = -2"),
+        ],
+        ids=["v", "w", "both-names-v"],
+    )
+    def test_non_member_message(self, v, w, message):
+        g = GroupDescriptorA1(-2, 1)
+        v, w = Rank2BundleClass(*v), Rank2BundleClass(*w)
+        with pytest.raises(DomainError) as info:
+            add(g, v, w)
+        assert str(info.value) == message
+        if v.c1 != g.a1:
+            with pytest.raises(DomainError) as info:
+                negate(g, v)
+            assert str(info.value) == message
+
 
 class TestSingleDescriptor:
     def test_default_shift_is_zero(self):

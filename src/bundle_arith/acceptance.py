@@ -62,23 +62,24 @@ def check_horrocks_agreement() -> tuple[bool, str]:
     """
     rows = [list(rank2.realizable_classes(c1, c1, 10)) for c1 in range(0, -41, -2)]
     checks = [rank2.agreement_check(v, w) for row in rows for v in row for w in row]
-    rule = all(rank2.epsilon(-2 * n) == (1 if n % 4 == 2 else 0) for n in range(21))
+    ns = range(21)
+    rule = all(rank2.epsilon(-2 * n) == (1 if n % 4 == 2 else 0) for n in ns)
     cases = len(checks)
     ok = all(checks) and rule and (cases, True, True) == rank2.agreement_sweep(-40, 10)
-    details = f"{cases} pairs across c1 = 0, -2, ..., -40; epsilon rule for n = 0..20"
+    details = f"{cases} pairs across c1 = 0, -2, ..., -40; epsilon rule for n = 0..{ns[-1]}"
     return ok, details
 
 
 def check_alpha_case_table() -> tuple[bool, str]:
     """alpha of O(-b) + O(b) is 1 iff b = 2 (mod 4), by two independent routes."""
-    bad = []
-    for b in range(-100, 101):
+    bad, bound = [], 100
+    for b in range(-bound, bound + 1):
         closed = rank2.alpha_extendable(0, -b * b)
         divisibility = rank2.alpha_balanced_split(b)
         case_rule = 1 if b % 4 == 2 else 0
         if not (closed == divisibility == case_rule):
             bad.append(b)
-    details = "both alpha routes agree with the mod-4 case rule for |b| <= 100"
+    details = f"both alpha routes agree with the mod-4 case rule for |b| <= {bound}"
     if bad:
         details = f"disagreement at b in {bad[:10]}"
     return not bad, details
@@ -151,7 +152,7 @@ def check_nonsplit_witnesses() -> tuple[bool, str]:
         if not v_ok:
             ok = False
             parts.append(f"prime witness FAILED for {sol.triple} over {sol.base}")
-    parts.append("20 parametrized samples with xyz != 0 verified")
+    parts.append(f"{samples} parametrized samples with xyz != 0 verified")
     return ok, "; ".join(parts)
 
 

@@ -149,16 +149,16 @@ def euler_characteristic(v: ChernVector, twist: int = 0) -> Fraction:
 def _feasible(rank: int, dim: int, c: tuple[int, ...]) -> bool:
     # n! * chi is an integer polynomial in the classes: mod n! it reads their residues
     m = math.factorial(dim)
-    return all(x % m == 0 for x in _chis(rank, dim, c, range(dim + 1), m))
+    return all(x % m == 0 for x in _chis(rank, dim, c, range(dim - 1), m))
 
 
 def is_feasible(v: ChernVector) -> bool:
     """Whether ``v`` can be the Chern data of a topological bundle.
 
-    Tests integrality of chi(v(t)) at the twists t = 0..dim.  chi is a
-    polynomial of degree dim in the twist, and an integer-valued
-    polynomial of degree d is characterized by integer values at d+1
-    consecutive integers, so this finite test settles every twist.
+    That is, whether chi(v(t)) is an integer at every twist t.  With
+    n = dim, chi(v(t)) - rank C(t + n, n) - c1 C(t + n, n - 1) has degree
+    at most n - 2 in t and both binomials are integer-valued, so the
+    n - 1 twists t = 0..n-2 settle every twist (none on CP^1).
     """
     return _feasible(v.rank, v.dim, v.c)
 
@@ -168,10 +168,11 @@ def feasible_c3_lattice(c1: int, c2: int, scan: int) -> int:
 
     Requires the identity data (c1, c2, 0) to be feasible.  On CP^5 the
     power sums p_1..p_5 are affine in c3 (c3^2 first enters p_6), so
-    chi(c1, c2, c3; t) = chi(c1, c2, 0; t) + c3 * s(t).  Over a feasible
-    base 120 * chi(c1, c2, 0; t) = 0 (mod 120), so 120 * chi(c1, c2, 1; t)
+    chi(c1, c2, c3; t) = chi(c1, c2, 0; t) + c3 * s(t), where s has degree
+    at most 2 in t as c3 first enters ch_3.  Over a feasible base
+    120 * chi(c1, c2, 0; t) = 0 (mod 120), so 120 * chi(c1, c2, 1; t)
     = 120 * s(t) (mod 120), and the feasible c3 are exactly dZ with
-    d = 120 / gcd(120, 120 * chi(c1, c2, 1; t) for t = 0..5): one pass
+    d = 120 / gcd(120, 120 * chi(c1, c2, 1; t) for t = 0..2): one pass
     of integer Riemann-Roch.  In fact d = d8 * d3, with d8 = 8 when the
     base allows only c3 = 0 mod 8 and 4 otherwise, and d3 = 1 when
     (c1, c2) = (0, 0) mod 3 and 3 otherwise; the tests pin both tables.
@@ -187,7 +188,7 @@ def feasible_c3_lattice(c1: int, c2: int, scan: int) -> int:
         raise DomainError(
             f"identity Chern data ({c1}, {c2}, 0) is not feasible on CP^5"
         )
-    d = 120 // math.gcd(120, *_chis(3, 5, (c1, c2, 1), range(6), 120))
+    d = 120 // math.gcd(120, *_chis(3, 5, (c1, c2, 1), range(3), 120))
     return _require_within(c1, c2, d, scan)
 
 

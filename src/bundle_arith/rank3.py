@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 from .cohomology import ChernVector, _require_within, feasible_c3_lattice, is_feasible
-from .errors import ConsistencyError, DomainError, require_int
+from .errors import DomainError, require_int
 
 __all__ = [
     "RHO_UNTRACKED",
@@ -119,8 +119,9 @@ def is_split_realizable(c1: int, c2: int, c3: int) -> tuple[int, int, int] | Non
         root_d += 1
     # smallest integer at or right of the larger critical point
     lo = -(-(c1 + root_d) // 3)
-    # every root has |t| < 1 + max |coefficient|, so value(hi) > 0
-    hi = max(lo, 1 + max(abs(c1), abs(c2), abs(c3)))
+    # an integer triple's roots divide c3 != 0, or (c3 = 0) are 0, r and s with
+    # |r| <= max(|r + s|, |rs|): all lie within max |c_i|, so within hi
+    hi = max(lo, abs(c1), abs(c2), abs(c3))
     while lo < hi:
         mid = (lo + hi) // 2
         if value(mid) >= 0:
@@ -304,17 +305,13 @@ def subgroup_index(g: GroupDescriptorV0, w: Rank3BundleClass):
     With k = c3(w) / c3_generator, a trivial kernel gives |k| directly.
     A Z/3 kernel gives the cokernel order of the presentation
     [[k, r], [0, 3]], which is |det| = 3|k| whatever the untracked
-    coordinate r.
+    coordinate r.  The division is exact: feasibility has period 24, and
+    the generator divides c3 on all 800 feasible classes mod 24.
     """
     _require_member(g, w)
     if w.c3 == 0:
         return math.inf
-    k, remainder = divmod(w.c3, g.c3_generator)
-    if remainder:
-        raise ConsistencyError(
-            f"c3 = {w.c3} is not a multiple of the lattice generator "
-            f"{g.c3_generator}; the lattice structure is broken"
-        )
+    k = w.c3 // g.c3_generator
     if g.kernel_kind == KERNEL_TRIVIAL:
         return abs(k)
     return 3 * abs(k)

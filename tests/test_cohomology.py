@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import pytest
 
+from bundle_arith import cohomology
 from bundle_arith.cohomology import (
     MAX_DIM,
     ChernVector,
@@ -80,7 +81,10 @@ def _chi_oracle(v, twist):
     scale = math.lcm(*range(1, n + 1))
     log, power = [0] * (n + 1), [1] + [0] * n
     for m in range(1, n + 1):
-        power = _mul(power, x)
+        # power = x^m, which starts at h^m as x[0] = 0: skip the zeros below
+        power = [0] * m + [
+            sum(power[i] * x[k - i] for i in range(m - 1, k)) for k in range(m, n + 1)
+        ]
         log = [a + (-1) ** (m + 1) * (scale // m) * b for a, b in zip(log, power)]
     # ch_k = (-1)^(k+1) k log_k / (scale k!), as numerators over scale n!
     fact = math.factorial(n)
@@ -288,6 +292,51 @@ class TestFeasibility:
             verdicts.append(expected)
         assert 200 < sum(verdicts) < 1300
 
+    def test_twists_0_to_dim_minus_2_settle_every_twist(self):
+        # With n = dim, ch_k adds degree n - k in t and the t^(n-1) term of
+        # c1's part is that of c1 C(t + n, n - 1), so r(t) = chi(v(t)) -
+        # rank C(t + n, n) - c1 C(t + n, n - 1) has degree <= n - 2: its
+        # (n-1)-th difference, of degree <= 1, vanishes at t = 0 and 1, hence
+        # everywhere.  The binomials are integer-valued, so integer chi at
+        # t = 0..n-2 makes r, and so chi, integer at every twist.
+        def binomial(x, k):  # C(x, k) as a polynomial in x
+            return math.prod(range(x - k + 1, x + 1)) // math.factorial(k)
+
+        rng = random.Random(20261019)
+        for _ in range(1000):
+            rank, n = rng.randint(1, 6), rng.randint(1, 12)
+            c = tuple(rng.randint(-(10**9), 10**9) for _ in range(rank))
+            v = ChernVector(rank, n, c)
+            r = [
+                euler_characteristic(v, t) - rank * binomial(t + n, n)
+                - c[0] * binomial(t + n, n - 1)
+                for t in range(n + 1)
+            ]
+            for t0 in (0, 1):
+                diff = sum((-1) ** i * math.comb(n - 1, i) * r[t0 + i] for i in range(n))
+                assert diff == 0, (v, t0)
+
+    def test_predicate_and_lattice_read_only_their_proven_twists(self, monkeypatch):
+        # the predicate reads dim - 1 twists and the c3 lattice 3, no more
+        passed = []
+        real = cohomology._chis
+
+        def counting(rank, dim, c, twists, m=0):
+            twists = list(twists)
+            passed.append(len(twists))
+            return real(rank, dim, c, twists, m)
+
+        monkeypatch.setattr(cohomology, "_chis", counting)
+        _feasible.cache_clear()
+        assert is_feasible(ChernVector(2, 3, (1, 2)))
+        assert is_feasible(ChernVector(3, 5, (3, 0, -4)))
+        assert passed == [2, 4]
+        _feasible.cache_clear()
+        passed.clear()
+        assert feasible_c3_lattice(3, 0, 24) == 4
+        assert passed == [4, 3]  # the base check, then the lattice pass
+        _feasible.cache_clear()
+
     def test_huge_classes_decided_promptly(self):
         _feasible.cache_clear()
         v = ChernVector(64, 64, (int("9" * 4000),) * 64)
@@ -377,6 +426,20 @@ class TestC3Lattice:
                 feasible_c3_lattice(c1, c2, d - 1)
         assert spacings == {4, 8, 12, 24}
 
+    def test_c3_part_of_chi_has_degree_two(self):
+        # c3 first enters ch_3, so s(t) = chi(c1, c2, 1; t) - chi(c1, c2, 0; t)
+        # has degree <= 2 in t and c3 s(t) is an integer at every twist iff it
+        # is one at t = 0..2.  The third difference of s is a polynomial of
+        # degree <= 2 in t and <= 5 in each of c1, c2 (120 chi is), so its
+        # vanishing on {0..5}^2 x {0..2} proves it vanishes everywhere.
+        def s(c1, c2, t):
+            v0, v1 = ChernVector(3, 5, (c1, c2, 0)), ChernVector(3, 5, (c1, c2, 1))
+            return euler_characteristic(v1, t) - euler_characteristic(v0, t)
+
+        for c1, c2, t0 in itertools.product(range(6), range(6), range(3)):
+            diff = sum((-1) ** i * math.comb(3, i) * s(c1, c2, t0 + i) for i in range(4))
+            assert diff == 0, (c1, c2, t0)
+
     def test_scan_too_small_fails_loudly(self):
         # base (2, 0) has spacing 24: a narrower window sees only c3 = 0
         with pytest.raises(ConsistencyError):
@@ -409,6 +472,19 @@ class TestRank3Law:
             c for c in itertools.product(range(24), repeat=3)
             if is_feasible(ChernVector(3, 5, c))
         )
+
+    def test_generator_divides_every_member_c3(self):
+        # subgroup_index divides c3 by the generator d without a remainder
+        # check.  120 chi mod 120 has period 24 in each class (above), so
+        # feasibility and d's formula read only residues mod 24, and d divides
+        # 24: the feasible classes mod 24 over a feasible base cover every member.
+        members = 0
+        for c1, c2, c3 in self._classes_mod_24():
+            if is_feasible(ChernVector(3, 5, (c1, c2, 0))):
+                d = GroupDescriptorV0(c1, c2).c3_generator
+                assert 24 % d == 0 and c3 % d == 0, (c1, c2, c3)
+                members += 1
+        assert members == 448
 
     # The c3 mod 8 that feasible classes allow, by c1 mod 8 and then c2 mod 8
     _EMPTY = frozenset()

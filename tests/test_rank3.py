@@ -1,12 +1,13 @@
 """Tests for rank-3 classes on CP^5 and the groups over a rank-2 base."""
 
+import itertools
 import math
 import random
 import time
 
 import pytest
 
-from bundle_arith.errors import ConsistencyError, DomainError
+from bundle_arith.errors import DomainError
 from bundle_arith.rank3 import (
     _PRIMALITY_BOUND,
     _is_prime,
@@ -79,6 +80,17 @@ class TestSplitRealizability:
                     assert is_split_realizable(c1, c2, c3) == answer
                     splittable += answer is not None
         assert 0 < splittable < 25 * 61 * 121
+
+    def test_bisection_bracket_holds_every_integer_root(self):
+        # The bisection stops at max(lo, |c1|, |c2|, |c3|).  Each root of an
+        # integer triple divides c3 when c3 != 0; when c3 = 0 the roots are
+        # 0, r and s, and |r| <= max(|r + s|, |rs|).  The box checks the bound,
+        # and O(r) + O(0) + O(0) attains it, so the bracket cannot shrink.
+        for x, y, z in itertools.product(range(-15, 16), repeat=3):
+            c = (x + y + z, x * y + y * z + z * x, x * y * z)
+            assert max(abs(x), abs(y), abs(z)) <= max(map(abs, c)), (x, y, z)
+        for r in range(-60, 61):
+            assert is_split_realizable(r, 0, 0) == tuple(sorted((r, 0, 0), reverse=True))
 
     def test_large_c3_answers_quickly(self):
         t0 = time.perf_counter()
@@ -263,9 +275,3 @@ class TestSubgroupIndex:
     def test_zero_c3_is_infinite(self):
         g = make_group(3, 0, 24)
         assert subgroup_index(g, g.identity) == math.inf
-
-    def test_generator_not_dividing_c3_is_inconsistent(self):
-        synthetic = GroupDescriptorV0(3, 0)
-        object.__setattr__(synthetic, "c3_generator", 3)
-        with pytest.raises(ConsistencyError):
-            subgroup_index(synthetic, split_rank3(2, -1, 2))

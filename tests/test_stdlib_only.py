@@ -109,8 +109,8 @@ def test_no_private_stdlib_names():
     assert not found, found
 
 
-def _object_new_scopes(source):
-    """The enclosing ``def``/``class`` path of each ``object.__new__`` in ``source``."""
+def _scopes(source, matches):
+    """The enclosing ``def``/``class`` path of each node in ``source`` that ``matches``."""
     found = []
 
     def visit(node, scope):
@@ -118,8 +118,7 @@ def _object_new_scopes(source):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
-            elif (isinstance(child, ast.Attribute) and child.attr == "__new__"
-                  and isinstance(child.value, ast.Name) and child.value.id == "object"):
+            elif matches(child):
                 found.append(scope)
             visit(child, inner)
 
@@ -127,12 +126,33 @@ def _object_new_scopes(source):
     return found
 
 
+def _is_object_new(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "__new__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object")
+
+
+def _raises_consistency_error(node):
+    if not isinstance(node, ast.Raise):
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "ConsistencyError"
+
+
+def _package_scopes(matches):
+    return sorted(
+        f"{path.stem}{scope}"
+        for path in SRC.glob("*.py")
+        for scope in _scopes(path.read_text("utf-8"), matches)
+    )
+
+
 def test_only_the_two_law_builders_skip_the_constructor():
     # An unchecked builder is kept only where it skips real validation (parity,
     # alpha, feasibility) on results valid by proof, on a timed path.
-    found = sorted(
-        f"{path.stem}{scope}"
-        for path in SRC.glob("*.py")
-        for scope in _object_new_scopes(path.read_text("utf-8"))
-    )
-    assert found == ["rank2._class", "rank3._class"]
+    assert _package_scopes(_is_object_new) == ["rank2._class", "rank3._class"]
+
+
+def test_only_the_scan_cap_raises_consistency_error():
+    # Checks that guard theorems live in the tests as proofs; the one library
+    # source of exit 3 is a c3 spacing beyond the caller's scan window.
+    assert _package_scopes(_raises_consistency_error) == ["cohomology._require_within"]

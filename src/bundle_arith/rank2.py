@@ -25,7 +25,6 @@ private :func:`_class` and skip that re-check.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -60,7 +59,7 @@ __all__ = [
 ]
 
 # Cap with its worst-case time on a 2-core x86 VM.
-MAX_SEARCH_EXTENT = 66  # max|c1| + c2 bound of generation_closure's search box: 0.45 s
+MAX_SEARCH_EXTENT = 66  # max|c1| + c2 bound of generation_closure's search box: 0.22 s
 
 
 def epsilon(a: int) -> int:
@@ -370,9 +369,9 @@ def generation_closure(
     reached classes with tensor_line (any twist staying in the box) and
     horrocks_sum (pairs sharing a non-positive c1).  A cheapest witness
     expression, counted in operations applied to splits, is recorded for
-    each reached class via uniform-cost search.  A search box with
-    max |c1| + c2 bound above :data:`MAX_SEARCH_EXTENT` raises
-    :class:`DomainError`.
+    each reached class by a uniform-cost search, one cost level at a time.
+    A search box with max |c1| + c2 bound above :data:`MAX_SEARCH_EXTENT`
+    raises :class:`DomainError`.
     """
     s1min, s1max, s2 = search_c1_min, search_c1_max, search_c2_bound
     names = "c1_min c1_max c2_bound search_c1_min search_c1_max search_c2_bound".split()
@@ -390,52 +389,63 @@ def generation_closure(
             f"search box max|c1| + c2 bound = {xb} exceeds {MAX_SEARCH_EXTENT}"
         )
 
-    # States are the class's own fields (c1, c2, alpha).  Heap entries tying on
-    # (cost, c1, c2) share c1's parity: both alphas are None or both are ints.
-    heap: list[tuple[int, int, int, int | None, str]] = []
+    # States are the class's own fields (c1, c2, alpha); best[state] holds its
+    # pending (cost, witness).  Levels are settled in cost order: every offer
+    # costs more than each state it is built from, so all of a level's offers
+    # exist before it is reached, and the smallest witness among them is kept.
+    best: dict[tuple[int, int, int | None], tuple[int, str]] = {}
     for x in range(-xb, xb + 1):
         for y in range(x, xb + 1):
             if s1min <= x + y <= s1max and abs(x * y) <= s2:
                 cls = split_rank2(x, y)
-                heap.append((0, cls.c1, cls.c2, cls.alpha, f"split({x},{y})"))
-    heapq.heapify(heap)
+                best[cls.c1, cls.c2, cls.alpha] = (0, f"split({x},{y})")
+    levels = {0: list(best)}
+    # Per row c1 <= 0, keyed 2*c2 + alpha: settled peers and unsettled targets
+    peers_by_c1 = {c1: {} for c1 in range(s1min, min(s1max, 0) + 1)}
+    open_by_c1 = {c1: {2 * c2 + a for c2 in range(-s2, s2 + 1) if c1 * c2 % 2 == 0
+                       for a in ((0,) if c1 % 2 else (0, 1))} for c1 in peers_by_c1}
 
-    settled: dict[tuple[int, int, int | None], tuple[int, str]] = {}
-    peers_by_c1: dict[int, list[tuple[int, int | None, int, str]]] = {}
-    while heap:
-        cost, c1, c2, a, expr = heapq.heappop(heap)
-        if (c1, c2, a) in settled:
-            continue
-        settled[c1, c2, a] = (cost, expr)
-        peers = peers_by_c1.setdefault(c1, [])
-        peers.append((c2, a, cost, expr))
+    def offer(target, new_cost, template, first, second):
+        """Keep an offer that is cheaper, or as cheap with a smaller witness."""
+        pending = best.get(target)
+        if pending is None or new_cost < pending[0]:
+            best[target] = (new_cost, template.format(first, second))
+            levels.setdefault(new_cost, []).append(target)
+        elif new_cost == pending[0] and (w := template.format(first, second)) < pending[1]:
+            best[target] = (new_cost, w)
 
-        for k in range(-((c1 - s1min) // 2), (s1max - c1) // 2 + 1):
-            if k == 0:
+    cost = 0
+    while levels:
+        for state in levels.pop(cost, ()):
+            found = best[state]
+            if found[0] < cost:  # settled at a lower level
                 continue
-            t1, t2 = _twist(c1, c2, k)
-            if abs(t2) <= s2 and (t1, t2, a) not in settled:
-                heapq.heappush(heap, (cost + 1, t1, t2, a, f"tensor({expr}, {k})"))
-
-        if c1 <= 0:
-            bump = _horrocks_bump(c1)
-            for other_c2, other_a, other_cost, other_expr in peers:
-                h2 = c2 + other_c2
-                if abs(h2) > s2:
-                    continue
-                ha = None if a is None else (a + other_a + bump) % 2
-                if (c1, h2, ha) in settled:
-                    continue
-                first, second = sorted((expr, other_expr))
-                witness = f"horrocks({first}, {second})"
-                heapq.heappush(heap, (cost + other_cost + 1, c1, h2, ha, witness))
+            c1, c2, a = state
+            expr = found[1]
+            for k in range(-((c1 - s1min) // 2), (s1max - c1) // 2 + 1):
+                t1, t2 = _twist(c1, c2, k)
+                if k and abs(t2) <= s2:
+                    offer((t1, t2, a), cost + 1, "tensor({}, {})", expr, k)
+            if c1 <= 0:
+                code, peers, row = 2 * c2 + (a or 0), peers_by_c1[c1], open_by_c1[c1]
+                peers[code] = found
+                row.discard(code)
+                # target t's partner: c2 = t's c2 - c2, alpha = t's alpha + a + bump
+                shift, flip = 2 * c2, 0 if a is None else a ^ _horrocks_bump(c1)
+                for t in row:
+                    other = peers.get((t - shift) ^ flip)
+                    if other is not None:
+                        target = (c1, t >> 1, None if a is None else t & 1)
+                        lo, hi = (expr, other[1]) if expr < other[1] else (other[1], expr)
+                        offer(target, cost + other[0] + 1, "horrocks({}, {})", lo, hi)
+        cost += 1
 
     reached = []
     unreached = []
     for cls in realizable_classes(c1_min, c1_max, c2_bound):
-        found = settled.get((cls.c1, cls.c2, cls.alpha))
+        found = best.get((cls.c1, cls.c2, cls.alpha))
         if found is None:
             unreached.append(cls)
         else:
             reached.append(ReachedClass(cls, *found))
-    return GenerationReport(tuple(reached), tuple(unreached), len(settled))
+    return GenerationReport(tuple(reached), tuple(unreached), len(best))

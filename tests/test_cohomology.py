@@ -447,6 +447,26 @@ class TestC3Lattice:
         assert feasible_c3_lattice(2, 0, 24) == 24
 
 
+class TestRank2Law:
+    """Rank-2 feasibility on CP^3 has period 2, so it is the parity rule."""
+
+    def test_period_two_by_finite_differences(self):
+        # 6 chi is an integer polynomial of degree <= 3 in each of c1, c2, t
+        # (c2 enters ch only linearly), and so is each difference
+        # below: vanishing mod 6 on {0..3}^3 makes every finite difference at
+        # 0 vanish mod 6, hence every value.  Feasibility at each twist then
+        # has period 2 in c1 and in c2, and four residue pairs decide it.
+        def scaled_chi(c1, c2, t):
+            return 6 * euler_characteristic(ChernVector(2, 3, (c1, c2)), t)
+
+        for c1, c2, t in itertools.product(range(4), repeat=3):
+            base = scaled_chi(c1, c2, t)
+            assert (scaled_chi(c1 + 2, c2, t) - base) % 6 == 0
+            assert (scaled_chi(c1, c2 + 2, t) - base) % 6 == 0
+        for c1, c2 in itertools.product(range(2), repeat=2):
+            assert is_feasible(ChernVector(2, 3, (c1, c2))) == (c1 * c2 % 2 == 0)
+
+
 class TestRank3Law:
     """Rank-3 feasibility on CP^5 has period 24 and a mod-3 rule for c3."""
 

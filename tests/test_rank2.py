@@ -1,5 +1,7 @@
 """Tests for rank-2 classes, their group laws, and the generation search."""
 
+import ast
+import hashlib
 import heapq
 import math
 import random
@@ -592,3 +594,74 @@ ORACLE_BOXES = [
 def test_closure_matches_object_oracle(box):
     # classes, costs, witness strings, unreached classes and the states count
     assert generation_closure(*box) == _object_closure(*box)
+
+
+def _random_small_boxes(seed, count, extent):
+    """Seeded report and search boxes with max|c1| + c2 bound <= extent."""
+    rng = random.Random(seed)
+    boxes = []
+    for _ in range(count):
+        s1min = rng.randint(-extent + 4, 3)
+        s1max = rng.randint(s1min, 8)
+        room = extent - max(abs(s1min), abs(s1max))
+        s2 = rng.randint(room // 2, room)
+        c1_min = rng.randint(s1min, s1max)
+        c1_max = rng.randint(c1_min, s1max)
+        boxes.append((c1_min, c1_max, rng.randint(0, s2), s1min, s1max, s2))
+    return boxes
+
+
+def test_closure_matches_object_oracle_on_random_small_boxes():
+    # At this size equal-cost offers often meet at one class: a search that
+    # kept the first of them instead of the smallest witness fails 18 boxes.
+    boxes = _random_small_boxes(2024, 40, 16)
+    assert any(c1 % 2 for b in boxes for c1 in range(b[0], b[1] + 1))
+    assert any(b[1] > 0 for b in boxes)
+    assert any(b[:3] != b[3:] for b in boxes)  # report box strictly inside
+    for box in boxes:
+        assert max(abs(box[3]), abs(box[4])) + box[5] <= 16
+        assert generation_closure(*box) == _object_closure(*box), box
+
+
+def _evaluate_witness(expr):
+    """(class, operation count) of a witness, built by the library's operations."""
+
+    def walk(node):
+        name, args = node.func.id, node.args
+        if name == "split":
+            return split_rank2(*map(ast.literal_eval, args)), 0
+        if name == "tensor":
+            cls, ops = walk(args[0])
+            return tensor_line(cls, ast.literal_eval(args[1])), ops + 1
+        assert name == "horrocks" and len(args) == 2
+        (v, v_ops), (w, w_ops) = walk(args[0]), walk(args[1])
+        return horrocks_sum(v, w), v_ops + w_ops + 1
+
+    return walk(ast.parse(expr, mode="eval").body)
+
+
+def test_doubled_box_witnesses_evaluate_to_their_classes():
+    # independent of the search: each witness, evaluated by split_rank2,
+    # tensor_line and horrocks_sum, lands on its class at its stated cost
+    report = generation_closure(-24, 0, 32, -24, 0, 32)
+    assert report.all_reached and len(report.reached) == 2086
+    for r in report.reached:
+        assert _evaluate_witness(r.witness) == (r.cls, r.cost), r.witness
+
+
+# Cap-sized search boxes, too slow for the object oracle in tier-1 (1.2-1.4 s
+# on the first): the SHA-256 of the report's repr and its states count, as the
+# heap-ordered search and the object oracle both compute them.
+CAP_SHAPES = [
+    ((-22, 22, 44, -22, 22, 44), 5084,
+     "7f07a862ef40ac8e44efd3f3d5c4dc6616649e2cbffe49d03b81613c28be7735"),
+    ((-33, 0, 33, -33, 0, 33), 2823,
+     "a3a2fdd30eb4d0ba69ebb7b5d58e727557cdff6e1e2631cbc9f62f05b2e8c024"),
+]
+
+
+@pytest.mark.parametrize("box, searched, digest", CAP_SHAPES, ids=[str(s[0]) for s in CAP_SHAPES])
+def test_cap_shapes_pinned(box, searched, digest):
+    report = generation_closure(*box)
+    assert report.searched == searched
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == digest

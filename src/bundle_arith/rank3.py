@@ -23,6 +23,7 @@ skip that re-check.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .cohomology import ChernVector, _require_within, feasible_c3_lattice, is_feasible
@@ -99,10 +100,11 @@ def is_split_realizable(c1: int, c2: int, c3: int) -> tuple[int, int, int] | Non
     real zero, f is strictly increasing and has one real root only.
     Otherwise the largest root lies where f increases, at or right of
     the larger critical point (c1 + sqrt(D)) / 3, and is found by
-    bisection on the integers there; once it is found the remaining
-    quadratic factors over Z iff its discriminant is a perfect square.
-    The work is O(log(|c1| + |c2| + |c3|)) evaluations of f.  Returned
-    triples are sorted in descending order.
+    bisection on the integers there, up to Fujiwara's bound
+    2 max(|c1|, |c2|^(1/2), |c3|^(1/3)) on every root; once it is found
+    the remaining quadratic factors over Z iff its discriminant is a
+    perfect square.  The work is O(log(|c1| + |c2| + |c3|)) evaluations
+    of f.  Returned triples are sorted in descending order.
     """
     require_int(c1, "c1")
     require_int(c2, "c2")
@@ -119,9 +121,8 @@ def is_split_realizable(c1: int, c2: int, c3: int) -> tuple[int, int, int] | Non
         root_d += 1
     # smallest integer at or right of the larger critical point
     lo = -(-(c1 + root_d) // 3)
-    # an integer triple's roots divide c3 != 0, or (c3 = 0) are 0, r and s with
-    # |r| <= max(|r + s|, |rs|): all lie within max |c_i|, so within hi
-    hi = max(lo, abs(c1), abs(c2), abs(c3))
+    # Fujiwara's bound holds every root, and each power of two is at least its term
+    hi = max(lo, 2 * max(abs(c1), 1 << -(-c2.bit_length() // 2), 1 << -(-c3.bit_length() // 3)))
     while lo < hi:
         mid = (lo + hi) // 2
         if value(mid) >= 0:
@@ -238,26 +239,34 @@ def smallest_nonsplit_multiple(
     return None
 
 
-# The first 13 primes.  Miller-Rabin with these bases has no strong
-# pseudoprime below _PRIMALITY_BOUND (Sorenson and Webster, "Strong
-# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017); the bound
-# itself is the least one.
+# The first 13 primes, and the least strong pseudoprime psi_k to the first k
+# of them for k = 1..13 (Jaeschke, "On strong pseudoprimes to several bases",
+# Math. Comp. 61, 1993; Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86, 2017).  Below psi_k the first k bases decide
+# primality; psi_13 is _PRIMALITY_BOUND.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PRIMALITY_BOUND = 3317044064679887385961981
+_MR_PRODUCT = math.prod(_MR_BASES)
+_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                 341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+                 3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+_PRIMALITY_BOUND = _PSEUDOPRIMES[-1]
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for n < _PRIMALITY_BOUND."""
+    """Deterministic Miller-Rabin primality test for n < _PRIMALITY_BOUND.
+
+    One gcd stands in for trial division by the bases; Miller-Rabin then
+    runs the first k of them, for the least k with n < psi_k.
+    """
     if n < 2:
         return False
-    for a in _MR_BASES:
-        if n % a == 0:
-            return n == a
+    if math.gcd(n, _MR_PRODUCT) != 1:
+        return n in _MR_BASES
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect_right(_PSEUDOPRIMES, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -271,8 +280,10 @@ def _is_prime(n: int) -> bool:
 
 
 def _next_prime(n: int) -> int:
-    """Smallest prime strictly greater than n, if it is below _PRIMALITY_BOUND."""
-    for candidate in range(n + 1, _PRIMALITY_BOUND):
+    """Smallest prime strictly greater than n, if below _PRIMALITY_BOUND; tries odd ones past 2."""
+    if n < 2:
+        return 2
+    for candidate in range(n + 1 + n % 2, _PRIMALITY_BOUND, 2):
         if _is_prime(candidate):
             return candidate
     raise DomainError(

@@ -9,8 +9,11 @@ import pytest
 
 from bundle_arith.errors import DomainError
 from bundle_arith.rank3 import (
+    _MR_BASES,
     _PRIMALITY_BOUND,
+    _PSEUDOPRIMES,
     _is_prime,
+    _next_prime,
     KERNEL_TRIVIAL,
     KERNEL_Z3,
     RHO_UNTRACKED,
@@ -82,15 +85,61 @@ class TestSplitRealizability:
         assert 0 < splittable < 25 * 61 * 121
 
     def test_bisection_bracket_holds_every_integer_root(self):
-        # The bisection stops at max(lo, |c1|, |c2|, |c3|).  Each root of an
-        # integer triple divides c3 when c3 != 0; when c3 = 0 the roots are
-        # 0, r and s, and |r| <= max(|r + s|, |rs|).  The box checks the bound,
-        # and O(r) + O(0) + O(0) attains it, so the bracket cannot shrink.
-        for x, y, z in itertools.product(range(-15, 16), repeat=3):
-            c = (x + y + z, x * y + y * z + z * x, x * y * z)
-            assert max(abs(x), abs(y), abs(z)) <= max(map(abs, c)), (x, y, z)
+        # The bisection stops at 2 max(|c1|, root2, root3), raised to the
+        # critical point.  Fujiwara's bound 2 max(|c1|, |c2|^(1/2), |c3|^(1/3))
+        # holds every complex root of t^3 - c1 t^2 + c2 t - c3, and each power
+        # of two is at least the term it stands for, so the bracket holds every
+        # root.  The box and a seeded sweep of large roots check both steps.
+        rng = random.Random(8)
+        big = [tuple(rng.randint(-10**30, 10**30) for _ in range(3)) for _ in range(2000)]
+        for x, y, z in itertools.chain(itertools.product(range(-15, 16), repeat=3), big):
+            c1, c2, c3 = x + y + z, x * y + y * z + z * x, x * y * z
+            root2 = 1 << -(-c2.bit_length() // 2)
+            root3 = 1 << -(-c3.bit_length() // 3)
+            assert root2 * root2 >= abs(c2) and root3 ** 3 >= abs(c3), (x, y, z)
+            assert max(abs(x), abs(y), abs(z)) <= 2 * max(abs(c1), root2, root3), (x, y, z)
+        # c2 = -2093091 has 21 bits, and the root 2146 of O(2146) + O(-561) + O(-561)
+        # lies beyond 2 * 2^floor(21/2) = 2048, so the c2 term needs its ceiling
+        assert is_split_realizable(1024, -2093091, 675391266) == (2146, -561, -561)
+        # O(r) + O(0) + O(0) has the root r and c1 = r: the bracket is tight within a factor 2
         for r in range(-60, 61):
             assert is_split_realizable(r, 0, 0) == tuple(sorted((r, 0, 0), reverse=True))
+
+    def test_matches_max_coefficient_bisection(self):
+        # oracle: the bisection up to max(|c1|, |c2|, |c3|), which bounds every
+        # root of an integer triple since each divides c3 != 0, or (c3 = 0)
+        # they are 0, r and s with |r| <= max(|r + s|, |rs|)
+        rng = random.Random(25)
+        splittable = 0
+        for i in range(20000):
+            shape = i % 4
+            if shape == 0:  # the benchmark's split cases: three twists
+                x, y = (rng.choice((-1, 1)) * rng.randint(50, 2000) for _ in range(2))
+                z = rng.choice((-1, 1)) * max(1, rng.randint(8 * 10**5, 12 * 10**5) // abs(x * y))
+                c = (x + y + z, x * y + y * z + z * x, x * y * z)
+            elif shape == 1:  # and its others: c3 and c1 + c2 odd, so no integer root
+                c1, c2 = rng.randint(-5000, 5000), rng.randint(-10**6, 10**6)
+                c3 = rng.choice((-1, 1)) * (rng.randint(10**5, 10**7) | 1)
+                c = (c1, c2 + (c1 + c2 + 1) % 2, c3)
+            elif shape == 2:  # clustered roots, perturbed off a split class or not
+                r = rng.choice((-1, 1)) * rng.randint(0, 10**12)
+                x, y, z = (r + rng.randint(-3, 3) for _ in range(3))
+                c = (x + y + z, x * y + y * z + z * x, x * y * z + rng.choice((0, 0, 1, -1)))
+            else:  # c3 = 0: roots 0, r and s, or a quadratic with no integer root
+                r, s = (rng.randint(-10**9, 10**9) for _ in range(2))
+                c = (r + s, r * s + rng.choice((0, 0, 1, 2)), 0)
+            answer = _max_coefficient_split(*c)
+            assert is_split_realizable(*c) == answer, c
+            splittable += answer is not None
+        assert 0 < splittable < 20000
+
+    def test_huge_classes_answer_within_a_second(self):
+        # the largest integers argparse reads have 4,299 digits
+        h = 10**4299 - 1
+        for c in ((0, 0, h), (3, 0, h - 3)):
+            t0 = time.perf_counter()
+            assert is_split_realizable(*c) is None
+            assert time.perf_counter() - t0 < 1.0
 
     def test_large_c3_answers_quickly(self):
         t0 = time.perf_counter()
@@ -228,6 +277,67 @@ def _det(m):
     return total
 
 
+def _max_coefficient_split(c1, c2, c3):
+    """is_split_realizable by bisection up to max(|c1|, |c2|, |c3|)."""
+
+    def value(t):
+        return ((t - c1) * t + c2) * t - c3
+
+    d = c1 * c1 - 3 * c2
+    if d < 0:
+        return None
+    root_d = math.isqrt(d)
+    root_d += root_d * root_d != d
+    lo = -(-(c1 + root_d) // 3)
+    hi = max(lo, abs(c1), abs(c2), abs(c3))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if value(mid) >= 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    if value(lo):
+        return None
+    p = lo - c1
+    disc = p * p - 4 * (c2 + lo * p)
+    if disc < 0 or math.isqrt(disc) ** 2 != disc:
+        return None
+    s = math.isqrt(disc)
+    return tuple(sorted((lo, (-p + s) // 2, (-p - s) // 2), reverse=True))
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _is_prime_oracle(n):
+    """Trial division by, then Miller-Rabin to, all 13 bases 2..41."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+
+
+def _next_prime_oracle(n):
+    candidate = n + 1
+    while not _is_prime_oracle(candidate):
+        candidate += 1
+    return candidate
+
+
 class TestPrimality:
     def test_matches_trial_division(self):
         def trial(n):
@@ -237,16 +347,42 @@ class TestPrimality:
             assert _is_prime(n) == trial(n), n
 
     def test_strong_pseudoprimes_rejected(self):
-        # 2047 fools base 2 alone; 3215031751 fools bases 2, 3, 5 and 7.
-        # The next five are the least strong pseudoprimes to the first 5, 6,
-        # 8, 11 and 12 prime bases (Jaeschke, "On strong pseudoprimes to
-        # several bases", Math. Comp. 61, 1993; Sorenson and Webster, Math.
-        # Comp. 86, 2017), so every proper prefix of _MR_BASES lets one through.
-        for n in (2047, 3215031751, 2152302898747, 3474749660383, 341550071728321,
-                  3825123056546413051, 399165290221 * 798330580441):
+        # 2047, 1373653, 25326001 and 3215031751 fool the first 1, 2, 3 and 4
+        # prime bases.  The next five are the least strong pseudoprimes to the
+        # first 5, 6, 8, 11 and 12 prime bases (Jaeschke, "On strong
+        # pseudoprimes to several bases", Math. Comp. 61, 1993; Sorenson and
+        # Webster, Math. Comp. 86, 2017), so every proper prefix of _MR_BASES
+        # lets one through, and so does each tier run with one base fewer.
+        for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                  341550071728321, 3825123056546413051, 399165290221 * 798330580441):
             assert n < _PRIMALITY_BOUND
             assert not _is_prime(n), n
         assert _is_prime(1200000000053)
+
+    def test_pseudoprime_table(self):
+        # psi_k, the least strong pseudoprime to the first k prime bases, by
+        # its factors; the first k bases are proven enough below it
+        factors = [(23, 89), (829, 1657), (2251, 11251), (151, 751, 28351),
+                   (6763, 10627, 29947), (1303, 16927, 157543), (10670053, 32010157),
+                   (10670053, 32010157), (149491, 747451, 34233211),
+                   (149491, 747451, 34233211), (149491, 747451, 34233211),
+                   (399165290221, 798330580441), (1287836182261, 2575672364521)]
+        assert _PSEUDOPRIMES == tuple(math.prod(f) for f in factors)
+        assert list(_PSEUDOPRIMES) == sorted(_PSEUDOPRIMES)
+        assert _PSEUDOPRIMES[-1] == _PRIMALITY_BOUND == 3317044064679887385961981
+        bases = _MR_BASES + (43,)
+        for k, n in enumerate(_PSEUDOPRIMES, 1):
+            # psi_k fools the first j >= k bases, where j is its last place in
+            # the table, and base j + 1 exposes it
+            j = len(_PSEUDOPRIMES) - _PSEUDOPRIMES[::-1].index(n)
+            assert [_strong_probable_prime(n, a) for a in bases[: j + 1]] == [True] * j + [False], k
+
+    def test_next_prime_matches_thirteen_base_oracle(self):
+        rng = random.Random(2025)
+        draws = [rng.randrange(10, 10 ** rng.randint(2, 24)) for _ in range(20000)]
+        windows = [m for n in _PSEUDOPRIMES if n < 10**12 for m in range(n - 500, n + 501)]
+        for n in draws + windows:
+            assert _next_prime(n) == _next_prime_oracle(n), n
 
 
 class TestSubgroupIndex:

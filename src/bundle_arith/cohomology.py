@@ -145,7 +145,8 @@ def euler_characteristic(v: ChernVector, twist: int = 0) -> Fraction:
     return Fraction(next(_chis(v.rank, v.dim, v.c, (twist,))), math.factorial(v.dim))
 
 
-@lru_cache(maxsize=None)
+# bounded, so a long sweep of distinct classes holds bounded memory
+@lru_cache(maxsize=2**15)
 def _feasible(rank: int, dim: int, c: tuple[int, ...]) -> bool:
     # n! * chi is an integer polynomial in the classes: mod n! it reads their residues
     m = math.factorial(dim)

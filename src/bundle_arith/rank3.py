@@ -8,10 +8,11 @@ place it could matter (subgroup indices over a base with Z/3 kernel)
 uses a presentation determinant that is independent of it.
 
 The group over a base (c1, c2) fixes the first two Chern classes and
-adds on c3.  The module also decides split realizability by exact
-integer root isolation of the characteristic cubic, finds non-split
-multiples, and produces the prime witness showing subgroups generated
-by split classes contain non-split members.
+adds on c3.  The module also decides split realizability from the gaps
+between the roots of the characteristic cubic (a discriminant test and
+one integer Newton descent), finds non-split multiples, and produces
+the prime witness showing subgroups generated by split classes contain
+non-split members.
 
 Classes are validated where callers build them: the constructor runs
 the integrality predicate.  The laws' results are valid by proof (the
@@ -96,53 +97,39 @@ def is_split_realizable(c1: int, c2: int, c3: int) -> tuple[int, int, int] | Non
     """Twists (x, y, z) with these symmetric functions, or None.
 
     The triple exists exactly when f(t) = t^3 - c1 t^2 + c2 t - c3 has
-    three integer roots.  With D = c1^2 - 3 c2 < 0 the derivative has no
-    real zero, f is strictly increasing and has one real root only.
-    Otherwise the largest root lies where f increases, at or right of
-    the larger critical point (c1 + sqrt(D)) / 3, and is found by
-    bisection on the integers there, up to Fujiwara's bound
-    2 max(|c1|, |c2|^(1/2), |c3|^(1/3)) on every root; once it is found
-    the remaining quadratic factors over Z iff its discriminant is a
-    perfect square.  The work is O(log(|c1| + |c2| + |c3|)) evaluations
-    of f.  Returned triples are sorted in descending order.
+    three integer roots x >= y >= z.  With the gaps a = x - y and
+    b = y - z, the discriminant of f is (a b (a + b))^2 and
+    d = c1^2 - 3 c2 = a^2 + a b + b^2.  So the discriminant must be a
+    perfect square s^2, which makes the roots real and d >= 0, and
+    a + b is the root of g(t) = t^3 - d t - s in [sqrt(d), 2 sqrt(d / 3)],
+    where g' >= 2d.  Whether f splits or not, 27 times its discriminant
+    is 4 d^3 minus a square, so the largest root of g lies in that
+    interval.  An integer Newton descent from isqrt(4d // 3), at or right
+    of a + b, stays at or right of that root, as g is convex there, and
+    steps by at least 1 while g > 0: it takes
+    O(log log (|c1| + |c2| + |c3|)) steps, however clustered the roots.
+    The gaps are then (t +- isqrt(4d - 3 t^2)) / 2 in either order, with
+    y = (c1 - a + b) / 3, and (y + a, y, y - b) is returned, in
+    descending order, only when its symmetric functions are the class's.
     """
     require_int(c1, "c1")
     require_int(c2, "c2")
     require_int(c3, "c3")
-
-    def value(t: int) -> int:
-        return ((t - c1) * t + c2) * t - c3
-
-    d = c1 * c1 - 3 * c2
-    if d < 0:
-        return None
-    root_d = math.isqrt(d)
-    if root_d * root_d != d:
-        root_d += 1
-    # smallest integer at or right of the larger critical point
-    lo = -(-(c1 + root_d) // 3)
-    # Fujiwara's bound holds every root, and each power of two is at least its term
-    hi = max(lo, 2 * max(abs(c1), 1 << -(-c2.bit_length() // 2), 1 << -(-c3.bit_length() // 3)))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if value(mid) >= 0:
-            hi = mid
-        else:
-            lo = mid + 1
-    r = lo
-    if value(r):
-        return None
-    # cubic = (t - r)(t^2 + p t + q)
-    p = r - c1
-    q = c2 + r * p
-    disc = p * p - 4 * q
-    if disc < 0:
-        return None
-    s = math.isqrt(disc)
+    disc = c2 * c2 * (c1 * c1 - 4 * c2) + c3 * (c1 * (18 * c2 - 4 * c1 * c1) - 27 * c3)
+    s = math.isqrt(max(disc, 0))  # a negative discriminant is no square
     if s * s != disc:
         return None
-    roots = sorted((r, (-p + s) // 2, (-p - s) // 2), reverse=True)
-    return (roots[0], roots[1], roots[2])
+    d = c1 * c1 - 3 * c2
+    t = math.isqrt(4 * d // 3)
+    while (g := (t * t - d) * t - s) > 0:
+        t -= max(1, g // (3 * t * t - d))
+    e = math.isqrt(4 * d - 3 * t * t)
+    for a, b in (((t + e) // 2, (t - e) // 2), ((t - e) // 2, (t + e) // 2)):
+        y = (c1 - a + b) // 3
+        x, z = y + a, y - b
+        if (x + y + z, x * y + y * z + z * x, x * y * z) == (c1, c2, c3):
+            return (x, y, z)
+    return None
 
 
 @dataclass(frozen=True)

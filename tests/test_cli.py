@@ -215,6 +215,29 @@ class TestRank3Commands:
         assert doc["payload"]["splittable"] is False
         assert doc["payload"]["twists"] is None
 
+    def test_split_huge_classes_answer_within_a_second(self, capsys):
+        # the largest shapes argparse reads: every class has at most 4,299 digits
+        h, k, j = 10**4299 - 1, 10**2149 - 1, 10**1433 - 1
+        classes = [
+            (h, 0, 0),
+            (-h, -h, h),
+            (2 * k + 1, k * (k + 1), 0),  # roots k + 1, k, 0
+            (3 * j, 3 * j * j, j**3),  # the triple root j
+        ]
+        splittable = []
+        for c in classes:
+            start = time.perf_counter()
+            code, doc = run_json(capsys, "rank3", "split", "--class", *map(str, c))
+            assert time.perf_counter() - start < 1.0
+            assert code == EXIT_OK
+            twists = doc["payload"]["twists"]
+            assert doc["payload"]["splittable"] is (twists is not None)
+            if twists is not None:
+                x, y, z = twists
+                assert (x + y + z, x * y + y * z + z * x, x * y * z) == c
+            splittable.append(twists is not None)
+        assert splittable == [True, False, True, True]
+
     def test_prime_witness(self, capsys):
         code, doc = run_json(
             capsys, "rank3", "prime-witness", "--base", "3", "0", "--w", "3", "0", "-4"

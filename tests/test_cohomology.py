@@ -337,6 +337,18 @@ class TestFeasibility:
         assert passed == [4, 3]  # the base check, then the lattice pass
         _feasible.cache_clear()
 
+    def test_predicate_cache_is_bounded(self):
+        # a sweep of distinct classes fills the cache to its bound, no further
+        maxsize = _feasible.cache_info().maxsize
+        assert maxsize == 2**15
+        _feasible.cache_clear()
+        for i in range(maxsize + 1000):
+            is_feasible(ChernVector(2, 3, (i, 2 * i)))
+        info = _feasible.cache_info()
+        assert info.misses == maxsize + 1000
+        assert info.currsize <= maxsize
+        _feasible.cache_clear()
+
     def test_huge_classes_decided_promptly(self):
         _feasible.cache_clear()
         v = ChernVector(64, 64, (int("9" * 4000),) * 64)

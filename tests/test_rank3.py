@@ -84,24 +84,40 @@ class TestSplitRealizability:
                     splittable += answer is not None
         assert 0 < splittable < 25 * 61 * 121
 
-    def test_bisection_bracket_holds_every_integer_root(self):
-        # The bisection stops at 2 max(|c1|, root2, root3), raised to the
-        # critical point.  Fujiwara's bound 2 max(|c1|, |c2|^(1/2), |c3|^(1/3))
-        # holds every complex root of t^3 - c1 t^2 + c2 t - c3, and each power
-        # of two is at least the term it stands for, so the bracket holds every
-        # root.  The box and a seeded sweep of large roots check both steps.
+    def test_gap_descent_steps_hold_on_every_triple(self):
+        """Each step of the gap descent, on the box and on large roots.
+
+        With roots x >= y >= z and gaps a = x - y, b = y - z, the
+        discriminant is (a b (a + b))^2 and d = c1^2 - 3 c2 = a^2 + a b + b^2,
+        so sigma = a + b solves t^3 - d t - s with s = a b (a + b).  The
+        identity 27 disc = 4 d^3 - q^2 keeps the descent's end at most
+        2 sqrt(d / 3) when f does not split; as a polynomial identity of
+        degree 6 in the roots, it holds once it holds on the box.  The
+        descent starts at isqrt(4d // 3), at or right of sigma, since
+        3 sigma^2 <= 4d, and g'(t) = 3t^2 - d >= 2d on [sigma, start], since
+        3t^2 - d increases for t >= 0 and 3 sigma^2 - d = 2d + 3ab.  On the
+        integers g' can exceed g near the root: each of the 882 split
+        triples in [-12, 12]^3 (of 2,925) that start right of a + b reaches
+        a step there where g // g' is 0, so the unit step max(1, ...) is
+        what ends the descent; test_recovers_twists runs them all.
+        """
         rng = random.Random(8)
         big = [tuple(rng.randint(-10**30, 10**30) for _ in range(3)) for _ in range(2000)]
-        for x, y, z in itertools.chain(itertools.product(range(-15, 16), repeat=3), big):
+        for roots in itertools.chain(itertools.product(range(-15, 16), repeat=3), big):
+            x, y, z = sorted(roots, reverse=True)
             c1, c2, c3 = x + y + z, x * y + y * z + z * x, x * y * z
-            root2 = 1 << -(-c2.bit_length() // 2)
-            root3 = 1 << -(-c3.bit_length() // 3)
-            assert root2 * root2 >= abs(c2) and root3 ** 3 >= abs(c3), (x, y, z)
-            assert max(abs(x), abs(y), abs(z)) <= 2 * max(abs(c1), root2, root3), (x, y, z)
-        # c2 = -2093091 has 21 bits, and the root 2146 of O(2146) + O(-561) + O(-561)
-        # lies beyond 2 * 2^floor(21/2) = 2048, so the c2 term needs its ceiling
+            a, b = x - y, y - z
+            disc = c1**2 * c2**2 - 4 * c2**3 - 4 * c1**3 * c3 + 18 * c1 * c2 * c3 - 27 * c3**2
+            d = c1 * c1 - 3 * c2
+            assert disc == (a * b * (a + b)) ** 2 and d == a * a + a * b + b * b, roots
+            assert 27 * disc == 4 * d**3 - (2 * c1**3 - 9 * c1 * c2 + 27 * c3) ** 2, roots
+            start = math.isqrt(4 * d // 3)
+            assert start >= a + b, roots
+            for t in (a + b, start):
+                assert 3 * t * t - d >= 2 * d, roots
+        # (1024, -2093091, 675391266) is O(2146) + O(-561) + O(-561), a double root
         assert is_split_realizable(1024, -2093091, 675391266) == (2146, -561, -561)
-        # O(r) + O(0) + O(0) has the root r and c1 = r: the bracket is tight within a factor 2
+        # O(r) + O(0) + O(0): gaps |r| and 0, in either order by the sign of r
         for r in range(-60, 61):
             assert is_split_realizable(r, 0, 0) == tuple(sorted((r, 0, 0), reverse=True))
 
@@ -134,11 +150,23 @@ class TestSplitRealizability:
         assert 0 < splittable < 20000
 
     def test_huge_classes_answer_within_a_second(self):
-        # the largest integers argparse reads have 4,299 digits
+        # h has 4,299 digits, the most argparse reads; the last two classes
+        # are built from roots of that size, so their c2 and c3 are larger
         h = 10**4299 - 1
-        for c in ((0, 0, h), (3, 0, h - 3)):
+        cases = [
+            ((0, 0, h), None),
+            ((3, 0, h - 3), None),
+            ((h, 0, 0), (h, 0, 0)),
+            # no integer root r: h (r^2 - r - 1) = -r^3 fails at r = 0 and 1,
+            # has sides of opposite signs at r >= 2, and at r <= -1 gives
+            # h = |r|^3 / (r^2 + |r| - 1) < |r| unless h = 1, while r divides h
+            ((-h, -h, h), None),
+            ((2 * h + 1, h * (h + 1), 0), (h + 1, h, 0)),
+            ((3 * h, 3 * h * h, h**3), (h, h, h)),
+        ]
+        for c, expected in cases:
             t0 = time.perf_counter()
-            assert is_split_realizable(*c) is None
+            assert is_split_realizable(*c) == expected
             assert time.perf_counter() - t0 < 1.0
 
     def test_large_c3_answers_quickly(self):

@@ -80,6 +80,9 @@ class ChernVector:
 def split_chern_vector(dim: int, twists: tuple[int, ...] | list[int]) -> ChernVector:
     """Chern vector of O(t_1) + ... + O(t_r): elementary symmetric functions."""
     twists = tuple(twists)
+    for i, t in enumerate(twists):
+        if type(t) is not int:  # the name is formatted only for a bad twist
+            require_int(t, f"twists[{i}]")
     return ChernVector(len(twists), dim, tuple(_elementary(twists)[1:]))
 
 

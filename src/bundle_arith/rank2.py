@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 # Cap with its worst-case time on a 2-core x86 VM.
-MAX_SEARCH_EXTENT = 66  # max|c1| + c2 bound of generation_closure's search box: 0.22 s
+MAX_SEARCH_EXTENT = 66  # max|c1| + c2 bound of generation_closure's search box: 0.18 s
 
 
 def epsilon(a: int) -> int:
@@ -389,63 +389,78 @@ def generation_closure(
             f"search box max|c1| + c2 bound = {xb} exceeds {MAX_SEARCH_EXTENT}"
         )
 
-    # States are the class's own fields (c1, c2, alpha); best[state] holds its
-    # pending (cost, witness).  Levels are settled in cost order: every offer
-    # costs more than each state it is built from, so all of a level's offers
-    # exist before it is reached, and the smallest witness among them is kept.
-    best: dict[tuple[int, int, int | None], tuple[int, str]] = {}
+    # States are keyed by row: best[c1][code] holds the pending (cost, witness)
+    # of the class (c1, code >> 1, alpha), with code = 2*c2 + alpha (alpha read
+    # as 0 at odd c1), and levels[cost] lists (c1, code) pairs.  Levels are
+    # settled in cost order: every offer costs more than each state it is built
+    # from, so all of a level's offers exist before it is reached, and the
+    # smallest witness among them is kept.
+    best: dict[int, dict[int, tuple[int, str]]] = {c1: {} for c1 in range(s1min, s1max + 1)}
+    levels: dict[int, list[tuple[int, int]]] = {0: []}
     for x in range(-xb, xb + 1):
         for y in range(x, xb + 1):
             if s1min <= x + y <= s1max and abs(x * y) <= s2:
                 cls = split_rank2(x, y)
-                best[cls.c1, cls.c2, cls.alpha] = (0, f"split({x},{y})")
-    levels = {0: list(best)}
-    # Per row c1 <= 0, keyed 2*c2 + alpha: settled peers and unsettled targets
+                code = 2 * cls.c2 + (cls.alpha or 0)
+                best[cls.c1][code] = (0, f"split({x},{y})")
+                levels[0].append((cls.c1, code))
+    # Per row c1 <= 0, by code: settled peers and unsettled targets
     peers_by_c1 = {c1: {} for c1 in range(s1min, min(s1max, 0) + 1)}
     open_by_c1 = {c1: {2 * c2 + a for c2 in range(-s2, s2 + 1) if c1 * c2 % 2 == 0
                        for a in ((0,) if c1 % 2 else (0, 1))} for c1 in peers_by_c1}
 
-    def offer(target, new_cost, template, first, second):
-        """Keep an offer that is cheaper, or as cheap with a smaller witness."""
-        pending = best.get(target)
-        if pending is None or new_cost < pending[0]:
-            best[target] = (new_cost, template.format(first, second))
-            levels.setdefault(new_cost, []).append(target)
-        elif new_cost == pending[0] and (w := template.format(first, second)) < pending[1]:
-            best[target] = (new_cost, w)
-
+    # The keep rule (cheaper, or as cheap with a smaller witness) is written
+    # out in both loops below: against the tuple-keyed search, one shared
+    # helper ran the doubled box 1.30x as fast, inlined 1.46-1.50x.
     cost = 0
     while levels:
-        for state in levels.pop(cost, ()):
-            found = best[state]
+        for c1, code in levels.pop(cost, ()):
+            here = best[c1]
+            found = here[code]
             if found[0] < cost:  # settled at a lower level
                 continue
-            c1, c2, a = state
+            c2, bit = code >> 1, code & 1
             expr = found[1]
+            step = cost + 1
             for k in range(-((c1 - s1min) // 2), (s1max - c1) // 2 + 1):
                 t1, t2 = _twist(c1, c2, k)
                 if k and abs(t2) <= s2:
-                    offer((t1, t2, a), cost + 1, "tensor({}, {})", expr, k)
+                    there, t = best[t1], 2 * t2 + bit  # a twist keeps alpha
+                    pending = there.get(t)
+                    if pending is None or step < pending[0]:
+                        there[t] = (step, f"tensor({expr}, {k})")
+                        levels.setdefault(step, []).append((t1, t))
+                    elif step == pending[0] and (w := f"tensor({expr}, {k})") < pending[1]:
+                        there[t] = (step, w)
             if c1 <= 0:
-                code, peers, row = 2 * c2 + (a or 0), peers_by_c1[c1], open_by_c1[c1]
+                peers, row = peers_by_c1[c1], open_by_c1[c1]
                 peers[code] = found
                 row.discard(code)
-                # target t's partner: c2 = t's c2 - c2, alpha = t's alpha + a + bump
-                shift, flip = 2 * c2, 0 if a is None else a ^ _horrocks_bump(c1)
+                # target t's partner: c2 = t's c2 - c2, alpha = t's alpha + alpha + bump
+                shift, flip = code - bit, 0 if c1 % 2 else bit ^ _horrocks_bump(c1)
                 for t in row:
                     other = peers.get((t - shift) ^ flip)
-                    if other is not None:
-                        target = (c1, t >> 1, None if a is None else t & 1)
-                        lo, hi = (expr, other[1]) if expr < other[1] else (other[1], expr)
-                        offer(target, cost + other[0] + 1, "horrocks({}, {})", lo, hi)
+                    if other is None:
+                        continue
+                    new_cost = step + other[0]
+                    pending = here.get(t)
+                    if pending is not None and pending[0] < new_cost:
+                        continue  # a costlier offer cannot win: no witness built
+                    lo, hi = (expr, other[1]) if expr < other[1] else (other[1], expr)
+                    w = f"horrocks({lo}, {hi})"
+                    if pending is None or new_cost < pending[0]:
+                        here[t] = (new_cost, w)
+                        levels.setdefault(new_cost, []).append((c1, t))
+                    elif w < pending[1]:
+                        here[t] = (new_cost, w)
         cost += 1
 
     reached = []
     unreached = []
     for cls in realizable_classes(c1_min, c1_max, c2_bound):
-        found = best.get((cls.c1, cls.c2, cls.alpha))
+        found = best[cls.c1].get(2 * cls.c2 + (cls.alpha or 0))
         if found is None:
             unreached.append(cls)
         else:
             reached.append(ReachedClass(cls, *found))
-    return GenerationReport(tuple(reached), tuple(unreached), len(best))
+    return GenerationReport(tuple(reached), tuple(unreached), sum(map(len, best.values())))

@@ -596,3 +596,11 @@ class TestValidation:
     def test_twist_must_be_integer(self):
         with pytest.raises(DomainError):
             euler_characteristic(ChernVector(1, 2, (1,)), Fraction(1, 2))
+
+    @pytest.mark.parametrize("bad", [True, 1.5], ids=repr)
+    def test_split_twists_must_be_integers(self, bad):
+        # (True, 2) once summed to (3, 2) and (1.5, 2) failed on the Chern
+        # classes it produced; both now name the twist
+        for i, twists in enumerate([(bad, 2), (2, bad)]):
+            with pytest.raises(DomainError, match=rf"^twists\[{i}\] must be an integer, got {bad!r}$"):
+                split_chern_vector(3, twists)

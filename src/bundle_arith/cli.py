@@ -144,7 +144,7 @@ def _cmd_feasible(args):
     vector = cohomology.ChernVector(args.rank, args.dim, tuple(args.chern))
     feasible = cohomology.is_feasible(vector)
     chis = cohomology._chis(vector.rank, vector.dim, vector.c, range(args.dim + 1))
-    n_fact = math.factorial(args.dim)
+    n_fact = cohomology._plan(vector.dim)[0]
     notes = [
         "chi at twists 0..dim: " + ", ".join(str(Fraction(x, n_fact)) for x in chis),
         "feasible iff every twisted chi is an integer",

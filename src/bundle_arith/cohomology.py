@@ -9,8 +9,8 @@ Methods in Algebraic Geometry*, Appendix One)
 
     n! * chi(V(t)) = sum_k p_k * e_{n-k}(t + 1, ..., t + n),
 
-e_j the elementary symmetric functions; no Todd class is needed, and a
-row cache holds the rows e(t + 1, ..., t + n), t = 0..n, once per n.  The
+e_j the elementary symmetric functions; no Todd class is needed, and one
+plan per n holds n! and the rows e(t + 1, ..., t + n), t = 0..n.  The
 integrality predicate deciding which integer tuples can occur as Chern
 classes of a topological bundle rests on this identity.
 
@@ -42,10 +42,10 @@ __all__ = [
 
 # Largest ambient dimension accepted.  The predicate works mod dim!, so
 # its cost is bounded whatever the class size.  On a 2-core x86 VM, at
-# dim 64 the row cache takes 0.03 s to build once (1.7 s at dim 256), then
-# a cold `is_feasible` takes 4 ms at most.  The exact chi that `feasible`
+# dim 64 the plan takes 0.02 s to build once (1.6 s at dim 256), then a
+# cold `is_feasible` takes 3 ms at most.  The exact chi that `feasible`
 # prints grows with the classes: with 4000-digit classes at dim 64 it
-# exits 2 in 0.6 s at rank 1, 1.2 s at rank 3 and 7.4 s at rank 64.
+# exits 2 in 0.4 s at rank 1, 1.0 s at rank 3 and 5-8 s at rank 64.
 MAX_DIM = 64
 
 
@@ -101,14 +101,17 @@ def _power_sums(rank: int, dim: int, c: tuple[int, ...], m: int = 0) -> list[int
 
     Newton's recurrence p_k = s_1 p_{k-1} + ... + s_{k-1} p_1 + k s_k, with
     the signs folded into s_i = (-1)^(i+1) c_i, has integer coefficients,
-    so mod m every p_k stays below m however large the classes.  Classes
-    above the ambient dimension do not contribute.
+    so mod m every p_k stays below m however large the classes: one pass
+    folds the signs and reduces the classes.  Classes above the ambient
+    dimension do not contribute.
     """
-    s = [-ci if i % 2 == 0 else ci for i, ci in enumerate(c[:dim], start=1)]
-    s = [si % m for si in s] if m else s
-    back = []  # p_{k-1}, ..., p_1
+    if m:
+        s = [(ci if i % 2 else -ci) % m for i, ci in enumerate(c[:dim], start=1)]
+    else:
+        s = [ci if i % 2 else -ci for i, ci in enumerate(c[:dim], start=1)]
+    r, back = len(s), []  # back holds p_{k-1}, ..., p_1
     for k in range(1, dim + 1):
-        acc = sum(map(mul, s, back), k * s[k - 1] if k <= len(s) else 0)
+        acc = sum(map(mul, s, back), k * s[k - 1] if k <= r else 0)
         back.insert(0, acc % m if m else acc)
     return [rank, *reversed(back)]
 
@@ -119,10 +122,11 @@ def chern_character(v: ChernVector) -> tuple[Fraction, ...]:
     return tuple(Fraction(pk, math.factorial(k)) for k, pk in enumerate(p))
 
 
-@lru_cache(maxsize=None)
-def _rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """The row cache: row t holds e_{n-k}(t + 1, ..., t + n), k = 0..n, t = 0..n."""
-    return tuple(tuple(_elementary(range(t + 1, t + n + 1))[::-1]) for t in range(n + 1))
+@lru_cache(maxsize=None)  # keyed by dim, so MAX_DIM bounds it
+def _plan(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """n! and the row cache: row t holds e_{n-k}(t + 1, ..., t + n), k = 0..n, t = 0..n."""
+    rows = tuple(tuple(_elementary(range(t + 1, t + n + 1))[::-1]) for t in range(n + 1))
+    return math.factorial(n), rows
 
 
 def _chis(
@@ -133,10 +137,10 @@ def _chis(
     n! * chi = sum_k p_k * e_{n-k}(t + 1, ..., t + n), with n = dim; with
     m > 0 each is only right mod m.  The power sums, costly for large
     classes, are computed once per vector, and the rows of t = 0..dim come
-    from the row cache :func:`_rows`; any other twist builds its own row.
+    from the row cache of :func:`_plan`; any other twist builds its own row.
     """
     p = _power_sums(rank, dim, c, m)
-    rows = _rows(dim)
+    rows = _plan(dim)[1]
     for t in twists:
         row = rows[t] if 0 <= t <= dim else _elementary(range(t + 1, t + dim + 1))[::-1]
         yield sum(map(mul, p, row))
@@ -145,15 +149,20 @@ def _chis(
 def euler_characteristic(v: ChernVector, twist: int = 0) -> Fraction:
     """chi(v tensor O(twist)) on CP^dim, as an exact rational."""
     require_int(twist, "twist")
-    return Fraction(next(_chis(v.rank, v.dim, v.c, (twist,))), math.factorial(v.dim))
+    return Fraction(next(_chis(v.rank, v.dim, v.c, (twist,))), _plan(v.dim)[0])
 
 
 # bounded, so a long sweep of distinct classes holds bounded memory
 @lru_cache(maxsize=2**15)
 def _feasible(rank: int, dim: int, c: tuple[int, ...]) -> bool:
-    # n! * chi is an integer polynomial in the classes: mod n! it reads their residues
-    m = math.factorial(dim)
-    return all(x % m == 0 for x in _chis(rank, dim, c, range(dim - 1), m))
+    # n! * chi is an integer polynomial in the classes: mod n! it reads their residues.
+    # A plain loop, as generators would cost about as much as the arithmetic
+    m, rows = _plan(dim)
+    p = _power_sums(rank, dim, c, m)
+    for t in range(dim - 1):
+        if sum(map(mul, p, rows[t])) % m:
+            return False
+    return True
 
 
 def is_feasible(v: ChernVector) -> bool:
@@ -192,7 +201,8 @@ def feasible_c3_lattice(c1: int, c2: int, scan: int) -> int:
         raise DomainError(
             f"identity Chern data ({c1}, {c2}, 0) is not feasible on CP^5"
         )
-    d = 120 // math.gcd(120, *_chis(3, 5, (c1, c2, 1), range(3), 120))
+    m = _plan(5)[0]  # 5! = 120
+    d = m // math.gcd(m, *_chis(3, 5, (c1, c2, 1), range(3), m))
     return _require_within(c1, c2, d, scan)
 
 

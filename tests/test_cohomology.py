@@ -13,6 +13,7 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import pytest
 
@@ -93,6 +94,46 @@ def _chi_oracle(v, twist):
     ]
     td, den = _twisted_todd(n, twist)
     return Fraction(sum(ch[k] * td[n - k] for k in range(n + 1)), scale * fact * den)
+
+
+# The predicate's path before the per-dimension plan, kept as an oracle:
+# the sign-folded classes and a second pass reducing them, n! from
+# math.factorial, rows from their own cache, and generators over the twists.
+def _old_power_sums(rank, dim, c, m=0):
+    s = [-ci if i % 2 == 0 else ci for i, ci in enumerate(c[:dim], start=1)]
+    s = [si % m for si in s] if m else s
+    back = []  # p_{k-1}, ..., p_1
+    for k in range(1, dim + 1):
+        acc = sum(map(mul, s, back), k * s[k - 1] if k <= len(s) else 0)
+        back.insert(0, acc % m if m else acc)
+    return [rank, *reversed(back)]
+
+
+@lru_cache(maxsize=None)
+def _old_rows(n):
+    return tuple(tuple(cohomology._elementary(range(t + 1, t + n + 1))[::-1]) for t in range(n + 1))
+
+
+def _old_chis(rank, dim, c, twists, m=0):
+    p = _old_power_sums(rank, dim, c, m)
+    rows = _old_rows(dim)
+    for t in twists:
+        row = rows[t] if 0 <= t <= dim else cohomology._elementary(range(t + 1, t + dim + 1))[::-1]
+        yield sum(map(mul, p, row))
+
+
+def _old_feasible(rank, dim, c):
+    m = math.factorial(dim)
+    return all(x % m == 0 for x in _old_chis(rank, dim, c, range(dim - 1), m))
+
+
+def _old_c3_lattice(c1, c2, scan):
+    if not _old_feasible(3, 5, (c1, c2, 0)):
+        raise DomainError("base not feasible")
+    d = 120 // math.gcd(120, *_old_chis(3, 5, (c1, c2, 1), range(3), 120))
+    if d > scan:
+        raise ConsistencyError("spacing beyond the scan")
+    return d
 
 
 class TestSeries:
@@ -292,6 +333,50 @@ class TestFeasibility:
             verdicts.append(expected)
         assert 200 < sum(verdicts) < 1300
 
+    def test_plan_matches_old_path(self):
+        # the plan, the one-pass power sums and the early-exit loop against
+        # the old path: exact and mod n! power sums, verdicts, chi, lattice
+        _feasible.cache_clear()
+        rng = random.Random(20261020)
+        verdicts = {}
+        for _ in range(1200):  # dim 64 in one draw of 25: its exact chi is the costly part
+            rank, dim = rng.randint(1, 6), rng.choice((*range(1, 13), *range(1, 13), 64))
+            bound = rng.choice((3, 10**6, 10**30))
+            c = [rng.randint(-bound, bound) for _ in range(rank)]
+            if rng.random() < 0.5:
+                # a split vector, moved off the lattice about half the time
+                c = list(split_chern_vector(dim, c).c)
+                c[rng.randrange(rank)] += rng.choice((0, rng.randint(-bound, bound)))
+            c = tuple(c)
+            m = math.factorial(dim)
+            assert cohomology._power_sums(rank, dim, c) == _old_power_sums(rank, dim, c)
+            assert cohomology._power_sums(rank, dim, c, m) == _old_power_sums(rank, dim, c, m)
+            v, expected = ChernVector(rank, dim, c), _old_feasible(rank, dim, c)
+            assert is_feasible(v) == expected, v
+            verdicts.setdefault(dim, []).append(expected)
+            t = rng.randint(-3, dim + 3)
+            assert euler_characteristic(v, t) == Fraction(next(_old_chis(rank, dim, c, (t,))), m)
+        # no twist to test on CP^1; on CP^2 only t = 0, where chi = rank +
+        # c1 (c1 + 3) / 2 - c2 is always an integer
+        assert all(verdicts[1]) and all(verdicts[2])
+        assert 0 < sum(verdicts[64]) < len(verdicts[64])
+        assert 500 < sum(map(sum, verdicts.values())) < 800  # 650 of 1200
+        outcomes = set()
+        for _ in range(300):
+            bound, scan = rng.choice((3, 10**6, 10**30)), rng.choice((1, 4, 24))
+            c1, c2 = rng.randint(-bound, bound), rng.randint(-bound, bound)
+            try:
+                expected = _old_c3_lattice(c1, c2, scan)
+            except (DomainError, ConsistencyError) as exc:
+                with pytest.raises(type(exc)):
+                    feasible_c3_lattice(c1, c2, scan)
+                outcomes.add(type(exc))
+            else:
+                assert feasible_c3_lattice(c1, c2, scan) == expected
+                outcomes.add(expected)
+        assert outcomes >= {DomainError, ConsistencyError, 4, 8, 12, 24}
+        _feasible.cache_clear()
+
     def test_twists_0_to_dim_minus_2_settle_every_twist(self):
         # With n = dim, ch_k adds degree n - k in t and the t^(n-1) term of
         # c1's part is that of c1 C(t + n, n - 1), so r(t) = chi(v(t)) -
@@ -317,24 +402,31 @@ class TestFeasibility:
                 assert diff == 0, (v, t0)
 
     def test_predicate_and_lattice_read_only_their_proven_twists(self, monkeypatch):
-        # the predicate reads dim - 1 twists and the c3 lattice 3, no more
-        passed = []
-        real = cohomology._chis
+        # the predicate reads dim - 1 twists and the c3 lattice 3, no more:
+        # every twist t in 0..dim is a read of row t of the plan
+        read = []
+        real = cohomology._plan
 
-        def counting(rank, dim, c, twists, m=0):
-            twists = list(twists)
-            passed.append(len(twists))
-            return real(rank, dim, c, twists, m)
+        class CountingRows(tuple):
+            def __getitem__(self, t):
+                read.append(t)
+                return super().__getitem__(t)
 
-        monkeypatch.setattr(cohomology, "_chis", counting)
+        def counting(n):
+            n_fact, rows = real(n)
+            return n_fact, CountingRows(rows)
+
+        monkeypatch.setattr(cohomology, "_plan", counting)
         _feasible.cache_clear()
         assert is_feasible(ChernVector(2, 3, (1, 2)))
+        assert read == [0, 1]
+        read.clear()
         assert is_feasible(ChernVector(3, 5, (3, 0, -4)))
-        assert passed == [2, 4]
+        assert read == [0, 1, 2, 3]
         _feasible.cache_clear()
-        passed.clear()
+        read.clear()
         assert feasible_c3_lattice(3, 0, 24) == 4
-        assert passed == [4, 3]  # the base check, then the lattice pass
+        assert read == [0, 1, 2, 3] + [0, 1, 2]  # the base check, then the lattice pass
         _feasible.cache_clear()
 
     def test_predicate_cache_is_bounded(self):

@@ -150,8 +150,8 @@ class GroupDescriptorV0:
     identity: Rank3BundleClass = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        # d divides 120, so the cap of 120 never binds; the call also checks
-        # that the base, and so the identity, is feasible
+        # d is one of 4, 8, 12, 24, so the cap of 120 never binds; the call
+        # also checks that the base, and so the identity, is feasible
         d = feasible_c3_lattice(self.base_c1, self.base_c2, 120)
         object.__setattr__(self, "c3_generator", d)
         object.__setattr__(self, "identity", _class(self.base_c1, self.base_c2, 0))
@@ -169,7 +169,7 @@ def make_group(base_c1: int, base_c2: int, scan: int) -> GroupDescriptorV0:
 
     Rejects, in this order, a bad ``scan``, an infeasible base and a c3
     spacing above ``scan``, as :func:`feasible_c3_lattice` does; the
-    lattice pass runs once, inside the descriptor.
+    spacing is derived once, inside the descriptor.
     """
     require_int(scan, "scan bound", 1)
     g = GroupDescriptorV0(base_c1, base_c2)

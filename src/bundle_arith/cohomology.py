@@ -49,7 +49,7 @@ __all__ = [
 MAX_DIM = 64
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class ChernVector:
     """Integer Chern data c_1..c_rank of a rank-``rank`` bundle on CP^dim.
 
@@ -57,6 +57,7 @@ class ChernVector:
     ambient dimension die in the ring and are simply carried along.
     ``dim`` is at most :data:`MAX_DIM`.  The constructor checks its
     arguments before it stores anything, and stores ``c`` as a tuple.
+    The fields live in slots, stored through their descriptors.
     """
 
     rank: int
@@ -64,8 +65,10 @@ class ChernVector:
     c: tuple[int, ...]
 
     def __init__(self, rank: int, dim: int, c: Iterable[int]) -> None:
-        require_int(rank, "rank", 1)
-        require_int(dim, "dim", 1)
+        if type(rank) is not int or rank < 1:  # require_int only words the error
+            require_int(rank, "rank", 1)
+        if type(dim) is not int or dim < 1:
+            require_int(dim, "dim", 1)
         if dim > MAX_DIM:
             raise DomainError(f"dim must be at most {MAX_DIM}, got {dim}")
         c = tuple(c)
@@ -74,7 +77,13 @@ class ChernVector:
         for ci in c:  # a loop, not all(...): no generator on the hot is_feasible path
             if type(ci) is not int:
                 raise DomainError(f"c must hold integer Chern classes, got {c!r}")
-        self.__dict__.update(rank=rank, dim=dim, c=c)
+        _set_rank(self, rank)
+        _set_dim(self, dim)
+        _set_c(self, c)
+
+
+# the slots' setters, bound from the new class that slots=True returned
+_set_rank, _set_dim, _set_c = (getattr(ChernVector, f).__set__ for f in ChernVector.__slots__)
 
 
 def split_chern_vector(dim: int, twists: tuple[int, ...] | list[int]) -> ChernVector:

@@ -107,11 +107,12 @@ def alpha_balanced_split(b: int) -> int:
     return (m // 4) % 2
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class Rank2BundleClass:
     """Topological class of a rank-2 bundle on CP^3: (c1, c2, alpha).
 
-    The constructor checks its arguments before it stores anything.
+    The constructor checks its arguments before it stores anything; it
+    and :func:`_class` store the fields through their slots' descriptors.
     """
 
     c1: int
@@ -119,8 +120,10 @@ class Rank2BundleClass:
     alpha: int | None = None
 
     def __init__(self, c1: int, c2: int, alpha: int | None = None) -> None:
-        require_int(c1, "c1")
-        require_int(c2, "c2")
+        if type(c1) is not int:  # require_int only words the error
+            require_int(c1, "c1")
+        if type(c2) is not int:
+            require_int(c2, "c2")
         if (c1 * c2) % 2:
             raise DomainError(f"(c1, c2) = ({c1}, {c2}) is not realizable: c1*c2 must be even")
         if c1 % 2 == 0:
@@ -128,13 +131,23 @@ class Rank2BundleClass:
                 raise DomainError(f"alpha in {{0, 1}} is required when c1 is even, got {alpha!r}")
         elif alpha is not None:
             raise DomainError(f"alpha is not defined for odd c1 = {c1}")
-        self.__dict__.update(c1=c1, c2=c2, alpha=alpha)
+        _set_c1(self, c1)
+        _set_c2(self, c2)
+        _set_alpha(self, alpha)
+
+
+# the slots' setters, bound from the new class that slots=True returned
+_set_c1, _set_c2, _set_alpha = (
+    getattr(Rank2BundleClass, f).__set__ for f in Rank2BundleClass.__slots__
+)
 
 
 def _class(c1: int, c2: int, alpha: int | None = None) -> Rank2BundleClass:
     """A class built without validation, for law results valid by proof."""
     v = object.__new__(Rank2BundleClass)
-    v.__dict__.update(c1=c1, c2=c2, alpha=alpha)
+    _set_c1(v, c1)
+    _set_c2(v, c2)
+    _set_alpha(v, alpha)
     return v
 
 
@@ -344,6 +357,9 @@ class GenerationReport:
 
 def realizable_classes(c1_min: int, c1_max: int, c2_bound: int):
     """All realizable classes in the box, in sorted order; valid by construction."""
+    require_int(c1_min, "c1_min")
+    require_int(c1_max, "c1_max")
+    require_int(c2_bound, "c2_bound")
     for c1 in range(c1_min, c1_max + 1):
         for c2 in range(-c2_bound, c2_bound + 1):
             if (c1 * c2) % 2:

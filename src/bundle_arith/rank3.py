@@ -51,11 +51,12 @@ KERNEL_TRIVIAL = "trivial"
 KERNEL_Z3 = "Z/3"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class Rank3BundleClass:
     """Chern triple (c1, c2, c3) of a rank-3 class on CP^5.
 
     The constructor checks its arguments; only the laws' results, valid by proof, skip it.
+    Both store the fields through their slots' descriptors.
     """
 
     c1: int
@@ -71,7 +72,9 @@ class Rank3BundleClass:
                 f"(c1, c2, c3) = ({c1}, {c2}, {c3}) fails the "
                 "integrality conditions for rank 3 on CP^5"
             )
-        self.__dict__.update(c1=c1, c2=c2, c3=c3)
+        _set_c1(self, c1)
+        _set_c2(self, c2)
+        _set_c3(self, c3)
 
     @property
     def rho(self) -> str:
@@ -79,10 +82,18 @@ class Rank3BundleClass:
         return RHO_UNTRACKED
 
 
+# the slots' setters, bound from the new class that slots=True returned
+_set_c1, _set_c2, _set_c3 = (
+    getattr(Rank3BundleClass, f).__set__ for f in Rank3BundleClass.__slots__
+)
+
+
 def _class(c1: int, c2: int, c3: int) -> Rank3BundleClass:
     """A class built without validation, for law results valid by proof."""
     v = object.__new__(Rank3BundleClass)
-    v.__dict__.update(c1=c1, c2=c2, c3=c3)
+    _set_c1(v, c1)
+    _set_c2(v, c2)
+    _set_c3(v, c3)
     return v
 
 

@@ -5,8 +5,9 @@ arguments before they store anything.  These tests pin what a caller sees:
 the rejections other than the integer rule (``tests/test_integer_rule.py``
 covers that), each with its exact message and in its order; keyword
 construction; ``c`` stored as a tuple; re-validation by
-``dataclasses.replace``; and the generated ``==``, ``hash`` and ``repr``,
-with copying and pickling.
+``dataclasses.replace``; the generated ``==``, ``hash`` and ``repr``,
+with copying and pickling, also on the results the laws build without
+the constructor; and the fields held in slots, with no instance dict.
 """
 
 import copy
@@ -15,6 +16,7 @@ import pickle
 
 import pytest
 
+from bundle_arith import rank2, rank3
 from bundle_arith.cohomology import MAX_DIM, ChernVector
 from bundle_arith.errors import DomainError
 from bundle_arith.rank2 import Rank2BundleClass
@@ -50,12 +52,30 @@ def test_rejections_keep_their_messages(cls, args, message):
     assert str(err.value) == message
 
 
+G2 = rank2.GroupDescriptorA1(-4)
+G3 = rank3.make_group(3, 0, 24)
+V2 = Rank2BundleClass(-4, 3, 1)
+W3 = Rank3BundleClass(3, 0, -4)
+
 # (object, keyword arguments that rebuild it, its repr)
 VALUES = [
     (ChernVector(2, 3, (1, 2)), {"rank": 2, "dim": 3, "c": (1, 2)}, "ChernVector(rank=2, dim=3, c=(1, 2))"),
     (Rank2BundleClass(2, 3, 1), {"c1": 2, "c2": 3, "alpha": 1}, "Rank2BundleClass(c1=2, c2=3, alpha=1)"),
     (Rank2BundleClass(1, 4), {"c1": 1, "c2": 4}, "Rank2BundleClass(c1=1, c2=4, alpha=None)"),
     (Rank3BundleClass(3, 0, -4), {"c1": 3, "c2": 0, "c3": -4}, "Rank3BundleClass(c1=3, c2=0, c3=-4)"),
+    # results of the unchecked builders rank2._class and rank3._class
+    (rank2.add(G2, V2, Rank2BundleClass(-4, 5, 1)), {"c1": -4, "c2": 8, "alpha": 1},
+     "Rank2BundleClass(c1=-4, c2=8, alpha=1)"),
+    (rank2.negate(G2, V2), {"c1": -4, "c2": -3, "alpha": 1}, "Rank2BundleClass(c1=-4, c2=-3, alpha=1)"),
+    (rank2.horrocks_sum(Rank2BundleClass(-3, 2), Rank2BundleClass(-3, 4)), {"c1": -3, "c2": 6},
+     "Rank2BundleClass(c1=-3, c2=6, alpha=None)"),
+    (rank2.tensor_line(V2, 2), {"c1": 0, "c2": -1, "alpha": 1}, "Rank2BundleClass(c1=0, c2=-1, alpha=1)"),
+    (list(rank2.realizable_classes(1, 1, 2))[-1], {"c1": 1, "c2": 2},
+     "Rank2BundleClass(c1=1, c2=2, alpha=None)"),
+    (rank3.add(G3, W3, Rank3BundleClass(3, 0, 8)), {"c1": 3, "c2": 0, "c3": 4},
+     "Rank3BundleClass(c1=3, c2=0, c3=4)"),
+    (rank3.iterate(G3, W3, 3), {"c1": 3, "c2": 0, "c3": -12}, "Rank3BundleClass(c1=3, c2=0, c3=-12)"),
+    (G3.identity, {"c1": 3, "c2": 0, "c3": 0}, "Rank3BundleClass(c1=3, c2=0, c3=0)"),
 ]
 
 
@@ -95,3 +115,9 @@ def test_equal_fields_of_different_classes_differ():
     assert Rank2BundleClass(0, 0, 0) != Rank3BundleClass(0, 0, 0)
     assert Rank3BundleClass(0, 0, 0) != Rank2BundleClass(0, 0, 0)
     assert Rank2BundleClass(0, 0, 0) == Rank2BundleClass(0, 0, 0)
+
+
+@pytest.mark.parametrize("obj", [obj for obj, _, _ in VALUES], ids=[text for _, _, text in VALUES])
+def test_fields_live_in_slots(obj):
+    assert type(obj).__slots__ == tuple(f.name for f in dataclasses.fields(obj))
+    assert not hasattr(obj, "__dict__")

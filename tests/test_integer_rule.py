@@ -40,6 +40,10 @@ ENTRY_POINTS = {
     "ChernVector-rank": ("rank", lambda x: cohomology.ChernVector(x, 3, (1,))),
     "ChernVector-dim": ("dim", lambda x: cohomology.ChernVector(1, x, (1,))),
     "ChernVector-c": ("c", lambda x: cohomology.ChernVector(1, 3, (x,))),
+    "split_chern_vector-dim": ("dim", lambda x: cohomology.split_chern_vector(x, (1, 2))),
+    "split_chern_vector-twists[0]": (
+        "twists[0]", lambda x: cohomology.split_chern_vector(3, (x, 2))
+    ),
     "euler_characteristic": ("twist", lambda x: cohomology.euler_characteristic(CV, x)),
     "feasible_c3_lattice": (
         "scan bound", lambda x: cohomology.feasible_c3_lattice(3, 0, x)
@@ -73,6 +77,13 @@ ENTRY_POINTS = {
     "tensor_line": ("twist k", lambda x: rank2.tensor_line(V2, x)),
     "agreement_sweep-c1_min": ("c1_min", lambda x: rank2.agreement_sweep(x, 2)),
     "agreement_sweep-c2_bound": ("c2_bound", lambda x: rank2.agreement_sweep(-4, x)),
+    # a generator: the check fires when iteration starts
+    **{
+        f"realizable_classes-{b}": (
+            b, lambda x, i=i: list(rank2.realizable_classes(*_replaced((-2, 0, 2), i, x)))
+        )
+        for i, b in enumerate(("c1_min", "c1_max", "c2_bound"))
+    },
     "generation_closure-c1_min": (
         "c1_min", lambda x: rank2.generation_closure(x, 0, 2, x, 0, 2)
     ),
@@ -109,6 +120,8 @@ ENTRY_POINTS = {
         "box", lambda x: diophantine.brute_force_solutions(3, 0, x)
     ),
     "coverage_check-a": ("a", lambda x: diophantine.coverage_check(x, 0, 6, 2)),
+    "coverage_check-b": ("b", lambda x: diophantine.coverage_check(3, x, 6, 2)),
+    "coverage_check-box": ("box", lambda x: diophantine.coverage_check(3, 0, x, 2)),
     "coverage_check-param_bound": (
         "param_bound", lambda x: diophantine.coverage_check(3, 0, 6, x)
     ),

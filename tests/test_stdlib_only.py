@@ -131,6 +131,10 @@ def _is_object_new(node):
             and isinstance(node.value, ast.Name) and node.value.id == "object")
 
 
+def _is_dict_attribute(node):
+    return isinstance(node, ast.Attribute) and node.attr == "__dict__"
+
+
 def _raises_consistency_error(node):
     if not isinstance(node, ast.Raise):
         return False
@@ -150,6 +154,25 @@ def test_only_the_two_law_builders_skip_the_constructor():
     # An unchecked builder is kept only where it skips real validation (parity,
     # alpha, feasibility) on results valid by proof, on a timed path.
     assert _package_scopes(_is_object_new) == ["rank2._class", "rank3._class"]
+
+
+def test_dict_detector_sees_every_dict_attribute():
+    source = (
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.__dict__.update(x=1)\n"
+        "def build():\n"
+        "    v = object.__new__(A)\n"
+        "    v.__dict__['x'] = 1\n"
+        "    return type(v).__dict__\n"
+    )
+    assert _scopes(source, _is_dict_attribute) == [".A.__init__", ".build", ".build"]
+
+
+def test_no_instance_dict_stores():
+    # The value classes keep their fields in slots, stored through the slots'
+    # descriptors; a dict-backed store would cost the hot constructors again.
+    assert _package_scopes(_is_dict_attribute) == []
 
 
 def test_only_the_scan_cap_raises_consistency_error():

@@ -12,14 +12,14 @@ two explicit solution families after clearing denominators: a
 four-parameter family (u, v, l, w) and the two-parameter family of
 identity-type solutions (those with a zero coordinate).  Brute-force
 enumeration, which never uses the families, is the independent check
-that they cover every solution in a box.
+that they cover every solution in a box, each solved for its own line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import isqrt
 
 from .errors import DomainError, require_int
@@ -42,7 +42,7 @@ BRUTE_FORCE = "brute_force"
 
 # Caps with their worst-case times on a 2-core x86 VM.
 MAX_SCAN_RADIUS = 10**5  # |x| <= min(box, isqrt(a^2 + b^2)) walked: 0.15 s
-MAX_PARAM_BOUND = 24  # (2 param_bound + 1)^2 pairs (u, v), each solved for l: 0.02 s
+MAX_PARAM_BOUND = 24  # u <= param_bound per ordering, divisor pairs of p at u = 0: 3 ms
 
 
 @dataclass(frozen=True)
@@ -198,20 +198,54 @@ class CoverageReport:
         return Fraction(len(self.matched), self.total)
 
 
+def _preimages(x: int, y: int, p: int, q: int, bound: int):
+    """Family-1 (u, v, l, w) that may carry w (x0, y0, a0, b0) to (x, y, p, q).
+
+    With c = p - x and d = q - y: c = w u^2, d = w u v and q = w u l.  At c = 0,
+    u = 0 (w = 0 reaches only the zero triple), so y = q = 0 and w v (v - l) = p.
+    """
+    c, d = p - x, q - y
+    if c:
+        for u in range(1, min(bound, isqrt(abs(c))) + 1):
+            w, r = divmod(c, u * u)
+            if not (r or d % (w * u) or q % (w * u)):
+                yield from ((s, d // (w * s), q // (w * s), w) for s in (-u, u))
+    elif p and q == y == 0:
+        divisors = [k for k in range(1, bound + 1) if not p % k]
+        for v, w in product(divisors + [-k for k in divisors], repeat=2):
+            if not p % (v * w):
+                yield 0, v, v - p // (v * w), w
+
+
+def _least_preimage(triple: tuple[int, int, int], a: int, b: int, bound: int):
+    """The least (u, v, l, w) within ``bound`` whose family-1 point is ``triple`` over (a, b)."""
+    bases = {(a, b), (b, a)}
+    found = sorted(
+        params
+        for p, q in bases
+        for x, y, _ in set(permutations(triple))
+        for params in _preimages(x, y, p, q, bound)
+        if max(map(abs, params)) <= bound
+    )
+    for u, v, l, w in found:
+        x0, y0, z0, a0, b0 = _family1_point(u, v, l)
+        if (w * a0, w * b0) in bases and _canonical((w * x0, w * y0, w * z0)) == triple:
+            return u, v, l, w
+    return None
+
+
 def coverage_check(a: int, b: int, box: int, param_bound: int) -> CoverageReport:
     """Match every brute-force solution against the two families.
 
-    Identity-type solutions are matched by the two-parameter family
-    first; everything else is searched for among family-1 parameters
-    with |u|, |v|, |l|, |w| <= param_bound (at most
-    :data:`MAX_PARAM_BOUND`).  The base w (a0, b0) = (p, q), which is
-    (a, b) or (b, a), fixes w and l: with (a0, b0) = (A - v l, u l) and
-    A = u^2 + uv + v^2, p b0 = q a0 reads l (p u + q v) = q A, so each
-    (u, v) is tried only at those l (every l if p u + q v = q A = 0), in
-    ascending order with at most two scales each.  The first generator
-    in (u, v, l, w) order is recorded, as a walk over every (u, v, l)
-    records it, and the scan stops once every solution has one.  A box
-    holding no solution raises :class:`DomainError`.
+    The identity-type solution (a, b, 0) is matched by the two-parameter
+    family first when max(|a|, |b|) <= param_bound (at most
+    :data:`MAX_PARAM_BOUND`).  Every other solution is inverted: each
+    ordering (x, y, z) of it over each orientation (p, q) of the base
+    fixes its generators by (c, q, d) = w u (u, l, v), c = p - x and
+    d = q - y.  The least (u, v, l, w) with every |parameter| <=
+    param_bound, confirmed on its family-1 point, is recorded: the one a
+    walk over every (u, v, l, w) records first.  A solution without one
+    is unmatched.  A box holding no solution raises :class:`DomainError`.
     """
     require_int(param_bound, "param_bound", 0)
     if param_bound > MAX_PARAM_BOUND:
@@ -219,41 +253,13 @@ def coverage_check(a: int, b: int, box: int, param_bound: int) -> CoverageReport
     targets = brute_force_solutions(a, b, box)
     if not targets:
         raise DomainError(f"no solution over ({a}, {b}) lies in box {box}")
-    matches: dict[tuple[int, int, int], Provenance] = {}
-    if max(abs(a), abs(b)) <= param_bound:
-        matches[_canonical((a, b, 0))] = param_family2(b, a)[0].provenance
-
-    wanted = {s.triple for s in targets} - set(matches)
-    span = range(-param_bound, param_bound + 1)
-    for u, v in product(span, repeat=2):
-        if not wanted:
-            break
-        # w (a0, b0) = (p, q) with (a0, b0) = (A - v l, u l) forces l (p u + q v) = q A
-        big_a = u * u + u * v + v * v
-        ls: set[int] = set()
-        for p, q in ((a, b), (b, a)):
-            c = p * u + q * v
-            if c:
-                l, r = divmod(q * big_a, c)
-                if not r and abs(l) <= param_bound:
-                    ls.add(l)
-            elif not q * big_a:
-                ls.update(span)
-        for l in sorted(ls):
-            x0, y0, z0, a0, b0 = _family1_point(u, v, l)
-            if not (a0 or b0):
-                continue  # the zero triple, matched above as the identity one
-            for w in sorted({p // a0 if a0 else q // b0 for p, q in ((a, b), (b, a))}):
-                if abs(w) <= param_bound and (w * a0, w * b0) in ((a, b), (b, a)):
-                    key = _canonical((w * x0, w * y0, w * z0))
-                    if key in wanted:
-                        matches[key] = Provenance(FAMILY1, (u, v, l, w))
-                        wanted.discard(key)
-    matched = []
-    unmatched = []
+    identity = _canonical((a, b, 0)) if max(abs(a), abs(b)) <= param_bound else None
+    matched, unmatched = [], []
     for sol in targets:
-        if sol.triple in matches:
-            matched.append((sol, matches[sol.triple]))
+        if sol.triple == identity:
+            matched.append((sol, param_family2(b, a)[0].provenance))
+        elif params := _least_preimage(sol.triple, a, b, param_bound):
+            matched.append((sol, Provenance(FAMILY1, params)))
         else:
             unmatched.append(sol)
     return CoverageReport(tuple(matched), tuple(unmatched))

@@ -161,6 +161,8 @@ class GroupDescriptorV0:
     identity: Rank3BundleClass = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        require_int(self.base_c1, "base_c1")
+        require_int(self.base_c2, "base_c2")
         # d is one of 4, 8, 12, 24, so the cap of 120 never binds; the call
         # also checks that the base, and so the identity, is feasible
         d = feasible_c3_lattice(self.base_c1, self.base_c2, 120)
@@ -178,9 +180,10 @@ class GroupDescriptorV0:
 def make_group(base_c1: int, base_c2: int, scan: int) -> GroupDescriptorV0:
     """Descriptor for the group over base (base_c1, base_c2), capped by ``scan``.
 
-    Rejects, in this order, a bad ``scan``, an infeasible base and a c3
-    spacing above ``scan``, as :func:`feasible_c3_lattice` does; the
-    spacing is derived once, inside the descriptor.
+    Rejects, in this order, a bad ``scan``, a base class that is not an
+    int, an infeasible base and a c3 spacing above ``scan``, as
+    :func:`feasible_c3_lattice` does; the spacing is derived once, inside
+    the descriptor.
     """
     require_int(scan, "scan bound", 1)
     g = GroupDescriptorV0(base_c1, base_c2)

@@ -2,19 +2,23 @@
 
 The exhaustive searches that the library no longer runs survive here as
 oracles: a box^2 scan over (x, y) for the enumeration, and for the
-coverage report both a scan over all four family-1 parameters (u, v, l,
-w) and a walk over every (u, v, l), of which coverage_check tries only
-the l that can match.  The quadric form Q and the coordinate change
-onto it live here too, as the oracles for the family-1 derivation.
+coverage report a scan over all four family-1 parameters (u, v, l, w),
+a walk over every (u, v, l), and a scan over every (u, v) solved for l,
+where coverage_check now solves each solution for its generators.  The
+quadric form Q and the coordinate change onto it live here too, as the
+oracles for the family-1 derivation.
 """
 
+import json
 import random
 import time
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
 from bundle_arith import diophantine
+from bundle_arith.cli import build_parser
 from bundle_arith.diophantine import (
     BRUTE_FORCE,
     FAMILY1,
@@ -28,7 +32,9 @@ from bundle_arith.diophantine import (
     param_family1,
     param_family2,
 )
-from bundle_arith.errors import DomainError
+from bundle_arith.errors import DomainError, require_int
+
+GOLDEN_CLI = Path(__file__).with_name("golden_cli.json")
 
 
 def quadric_Q(a, b, c, d):
@@ -124,6 +130,56 @@ def _uvl_scan(a, b, box, param_bound):
                     wanted.discard(key)
     matched = [(t, *matches[t]) for t in targets if t in matches]
     return matched, [t for t in targets if t not in matches]
+
+
+def _uv_scan(a, b, box, param_bound):
+    """Matched (triple, kind, params) and unmatched triples, scanning every (u, v).
+
+    The identity-type match comes first.  Each (u, v) is then solved for
+    the l its base allows, l (p u + q v) = q (u^2 + uv + v^2) for (p, q)
+    = (a, b) or (b, a), and tried with at most two scales each; the
+    first generator in (u, v, l, w) order is recorded, and the scan stops
+    once every triple has one.  It raises DomainError as coverage_check does.
+    """
+    require_int(param_bound, "param_bound", 0)
+    if param_bound > MAX_PARAM_BOUND:
+        raise DomainError(f"param_bound = {param_bound} exceeds {MAX_PARAM_BOUND}")
+    targets = brute_force_solutions(a, b, box)
+    if not targets:
+        raise DomainError(f"no solution over ({a}, {b}) lies in box {box}")
+    matches = {}
+    if max(abs(a), abs(b)) <= param_bound:
+        matches[_canonical((a, b, 0))] = param_family2(b, a)[0].provenance
+
+    wanted = {s.triple for s in targets} - set(matches)
+    span = range(-param_bound, param_bound + 1)
+    for u, v in product(span, repeat=2):
+        if not wanted:
+            break
+        # w (a0, b0) = (p, q) with (a0, b0) = (A - v l, u l) forces l (p u + q v) = q A
+        big_a = u * u + u * v + v * v
+        ls = set()
+        for p, q in ((a, b), (b, a)):
+            c = p * u + q * v
+            if c:
+                l, r = divmod(q * big_a, c)
+                if not r and abs(l) <= param_bound:
+                    ls.add(l)
+            elif not q * big_a:
+                ls.update(span)
+        for l in sorted(ls):
+            x0, y0, z0, a0, b0 = diophantine._family1_point(u, v, l)
+            if not (a0 or b0):
+                continue  # the zero triple, matched above as the identity one
+            for w in sorted({p // a0 if a0 else q // b0 for p, q in ((a, b), (b, a))}):
+                if abs(w) <= param_bound and (w * a0, w * b0) in ((a, b), (b, a)):
+                    key = _canonical((w * x0, w * y0, w * z0))
+                    if key in wanted:
+                        matches[key] = Provenance(FAMILY1, (u, v, l, w))
+                        wanted.discard(key)
+    matched = [(s.triple, matches[s.triple].kind, matches[s.triple].params)
+               for s in targets if s.triple in matches]
+    return matched, [s.triple for s in targets if s.triple not in matches]
 
 
 class TestQuadricForm:
@@ -350,6 +406,55 @@ class TestCoverage:
             calls = 0
             coverage_check(*args)
             assert calls <= (2 * MAX_PARAM_BOUND + 1) ** 2, (args, calls)
+
+    def test_matches_uv_scan_on_seeded_sweep(self):
+        rng = random.Random(1)
+        cases = [
+            (rng.randint(-40, 40), rng.randint(-40, 40), rng.randint(0, 30), rng.randint(0, 24))
+            for _ in range(6000)
+        ]
+        cases += [(-34, -25, 40, MAX_PARAM_BOUND), (0, -31, 40, MAX_PARAM_BOUND)]
+        for case in json.loads(GOLDEN_CLI.read_text()):
+            if case["argv"].startswith("quadric cover "):
+                args = build_parser().parse_args(case["argv"].split())
+                cases.append((args.a, args.b, args.box, args.param_bound))
+        assert len(cases) == 6005
+        solvable = u_zero_generators = 0
+        for args in cases:
+            try:
+                expected = _uv_scan(*args)
+            except DomainError as exc:
+                with pytest.raises(DomainError) as info:
+                    coverage_check(*args)
+                assert str(info.value) == str(exc), args
+                continue
+            report = coverage_check(*args)
+            matched = [(s.triple, p.kind, p.params) for s, p in report.matched]
+            assert (matched, [s.triple for s in report.unmatched]) == expected, args
+            solvable += 1
+            u_zero_generators += sum(kind == FAMILY1 and params[0] == 0 for _, kind, params in matched)
+        assert solvable == 1469 + 2 + 2
+        assert u_zero_generators  # some generators come from the u = 0 divisor branch
+
+    def test_family1_points_scale_with_solutions(self, monkeypatch):
+        # the inversion confirms preimages, never points of a parameter scan
+        calls = 0
+        point = diophantine._family1_point
+
+        def counting_point(*args):
+            nonlocal calls
+            calls += 1
+            return point(*args)
+
+        monkeypatch.setattr(diophantine, "_family1_point", counting_point)
+        for a, b, box in ((-34, -25, 40), (0, -31, 40)):
+            counts = []
+            for bound in (12, MAX_PARAM_BOUND):
+                calls = 0
+                total = coverage_check(a, b, box, bound).total
+                assert 0 < calls <= 16 * total, (a, b, bound, calls)
+                counts.append(calls)
+            assert counts[0] == counts[1], (a, b, counts)
 
     def test_opposite_base_records_the_smaller_scale(self):
         # over (4, -4) both w = -1 and w = 1 reach (4, 0, -4); -1 comes first

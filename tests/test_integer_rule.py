@@ -107,6 +107,10 @@ ENTRY_POINTS = {
         "bound", lambda x: rank3.smallest_nonsplit_multiple(G3, W3, x)
     ),
     "make_group": ("scan bound", lambda x: rank3.make_group(3, 0, x)),
+    "make_group-base_c1": ("base_c1", lambda x: rank3.make_group(x, 0, 24)),
+    "make_group-base_c2": ("base_c2", lambda x: rank3.make_group(3, x, 24)),
+    "GroupDescriptorV0-base_c1": ("base_c1", lambda x: rank3.GroupDescriptorV0(x, 0)),
+    "GroupDescriptorV0-base_c2": ("base_c2", lambda x: rank3.GroupDescriptorV0(3, x)),
     "is_split_realizable-c1": ("c1", lambda x: rank3.is_split_realizable(x, 0, 0)),
     "is_split_realizable-c2": ("c2", lambda x: rank3.is_split_realizable(3, x, 0)),
     "is_split_realizable-c3": ("c3", lambda x: rank3.is_split_realizable(3, 0, x)),

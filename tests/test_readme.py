@@ -1,0 +1,69 @@
+"""Facts the README states that have a single source elsewhere.
+
+The README's CLI examples are also the first golden CLI cases and the
+examples ``bench/workloads.py`` runs; the caps its prose names are
+constants of the package.  Each copy is checked against its source, so
+an edit to one side fails here instead of drifting.
+"""
+
+import ast
+import json
+import re
+import shlex
+from pathlib import Path
+
+from bundle_arith import cohomology, diophantine, rank2
+
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
+MODULES = {"cohomology": cohomology, "diophantine": diophantine, "rank2": rank2}
+
+
+def _readme_examples():
+    """The argv of each command in the fenced ``sh`` block under "## CLI examples"."""
+    section = README.split("\n## CLI examples\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    assert all(argv[0] == "bundle-arith" for argv in commands if argv)
+    return [" ".join(argv[1:]) for argv in commands if argv]
+
+
+def _bench_examples():
+    """The argv strings of ``README_EXAMPLES`` in bench/workloads.py, read without importing it."""
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["README_EXAMPLES"]:
+            return [row.elts[0].value for row in node.value.elts]
+    raise AssertionError("bench/workloads.py defines no README_EXAMPLES")
+
+
+def _number(text):
+    """The value of a README number such as ``64`` or ``10^5``."""
+    base, _, exponent = text.partition("^")
+    return int(base) ** int(exponent or 1)
+
+
+def test_cli_examples_have_one_source():
+    examples = _readme_examples()
+    golden = [case["argv"] for case in json.loads((ROOT / "tests" / "golden_cli.json").read_text())]
+    assert len(examples) == 14
+    assert examples == golden[:14]
+    assert examples == _bench_examples()
+
+
+def test_caps_in_prose_match_their_constants():
+    prose = " ".join(README.split())
+    caps = {
+        (module, name): _number(value)
+        for module, name, value in re.findall(r"`(\w+)\.(MAX_\w+)` = (\d+(?:\^\d+)?)", prose)
+    }
+    assert caps == {
+        ("cohomology", "MAX_DIM"): 64,
+        ("rank2", "MAX_SEARCH_EXTENT"): 66,
+        ("diophantine", "MAX_SCAN_RADIUS"): 10**5,
+        ("diophantine", "MAX_PARAM_BOUND"): 24,
+    }
+    for (module, name), value in caps.items():
+        assert getattr(MODULES[module], name) == value, name
+    [cache] = re.findall(r"LRU cache of (\d+\^\d+) classes", prose)
+    assert _number(cache) == cohomology._feasible.cache_info().maxsize == 2**15

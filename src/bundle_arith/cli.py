@@ -127,12 +127,10 @@ def _parse_rank2_tokens(tokens: list[int]) -> rank2.Rank2BundleClass:
     raise DomainError(f"a rank-2 class needs 2 or 3 integers, got {len(tokens)}")
 
 
-def _alpha_note(c1: int, c2: int) -> str:
+def _alpha_note(c1: int, c2: int, alpha: int) -> str:
     d = rank2.delta(c1, c2)
-    return (
-        f"Delta = (c1^2 - 4 c2)/4 = {d}; Delta(Delta - 1)/12 = {d * (d - 1) // 12} "
-        f"-> alpha = {(d * (d - 1) // 12) % 2}"
-    )
+    return (f"Delta = (c1^2 - 4 c2)/4 = {d}; "
+            f"Delta(Delta - 1)/12 = {d * (d - 1) // 12} -> alpha = {alpha}")
 
 
 def _epsilon_note(a1: int) -> str:
@@ -176,15 +174,15 @@ def _cmd_alpha(args):
             raise DomainError(
                 f"O({x}) + O({y}) has odd c1 = {x + y}; alpha is not defined"
             )
-        b = (x - y) // 2
         notes = [
-            _alpha_note(cls.c1, cls.c2),
-            f"normalized twist b = (x - y)/2 = {b}: b = 2 (mod 4) {'holds' if b % 4 == 2 else 'fails'}",
+            _alpha_note(cls.c1, cls.c2, cls.alpha),
+            f"normalized twist b = (x - y)/2 = {(x - y) // 2}: "
+            f"b = 2 (mod 4) {'holds' if cls.alpha else 'fails'}",
         ]
         return _rank2_payload(cls), notes
     c1, c2 = args.chern
     alpha = rank2.alpha_extendable(c1, c2)
-    return {"c1": c1, "c2": c2, "alpha": alpha}, [_alpha_note(c1, c2)]
+    return {"c1": c1, "c2": c2, "alpha": alpha}, [_alpha_note(c1, c2, alpha)]
 
 
 def _cmd_add_rank2(args):
@@ -213,7 +211,7 @@ def _cmd_horrocks(args):
         n = -v.c1 // 2
         notes.append(
             f"c1 = -2n with n = {n}; n mod 4 = {n % 4} so alpha gains "
-            f"{'an extra 1' if n % 4 == 2 else 'no correction'}"
+            f"{'an extra 1' if rank2.epsilon(v.c1) else 'no correction'}"
         )
     return {"sum": _rank2_payload(total)}, notes
 

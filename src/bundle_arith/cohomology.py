@@ -201,6 +201,10 @@ def feasible_c3_lattice(c1: int, c2: int, scan: int) -> int:
     :class:`ConsistencyError`.
     """
     require_int(scan, "scan bound", 1)
+    if type(c1) is not int:  # require_int only words the error
+        require_int(c1, "c1")
+    if type(c2) is not int:
+        require_int(c2, "c2")
     base = ChernVector(3, 5, (c1, c2, 0))
     if not is_feasible(base):
         raise DomainError(

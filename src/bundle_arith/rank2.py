@@ -235,10 +235,11 @@ def add_shifted(
 def horrocks_sum(v: Rank2BundleClass, w: Rank2BundleClass) -> Rank2BundleClass:
     """Extension-style sum of two classes with shared c1 = -m, m >= 0.
 
-    c2 is additive.  For even c1 = -2n, alpha is additive when n is odd
-    or n = 0 (mod 4) and picks up an extra 1 when n = 2 (mod 4).
-    Positive shared c1 leaves no regular sections to glue along, so the
-    sum is undefined there.  The sum needs no re-check: for odd c1 both
+    c2 is additive.  For even c1 = -2n, alpha picks up Horrocks'
+    correction, an extra 1 exactly when n = 2 (mod 4): epsilon(c1), the
+    plain law's own correction (:func:`epsilon`).  Positive shared c1
+    leaves no regular sections to glue along, so the sum is undefined
+    there.  The sum needs no re-check: for odd c1 both
     summands have even c2, so their sum is even, and for even c1 the
     alpha is a sum of ints mod 2.
     """
@@ -251,20 +252,15 @@ def horrocks_sum(v: Rank2BundleClass, w: Rank2BundleClass) -> Rank2BundleClass:
     c2 = v.c2 + w.c2
     if v.c1 % 2:
         return _class(v.c1, c2)
-    return _class(v.c1, c2, (v.alpha + w.alpha + _horrocks_bump(v.c1)) % 2)
-
-
-def _horrocks_bump(c1: int) -> int:
-    """Extra alpha of a Horrocks sum at even c1 = -2n: 1 iff n = 2 (mod 4)."""
-    return 1 if (-c1 // 2) % 4 == 2 else 0
+    return _class(v.c1, c2, (v.alpha + w.alpha + epsilon(v.c1)) % 2)
 
 
 def agreement_check(v: Rank2BundleClass, w: Rank2BundleClass) -> bool:
     """Whether the Horrocks sum and the plain group sum of (v, w) coincide.
 
-    Both must be defined (shared c1 <= 0).  At c1 = -2n the two differ
-    only in alpha, by [n = 2 (mod 4)] - epsilon(-2n); that rule is what
-    :func:`agreement_sweep` reports as ``epsilon_rule_verified``.
+    Both must be defined (shared c1 <= 0).  Both add c2, and both add
+    epsilon(c1) to the summands' alphas at even c1, the plain law as its
+    identity's alpha and the Horrocks sum as its correction.
     """
     return horrocks_sum(v, w) == add(_plain_group(v.c1), v, w)
 
@@ -279,11 +275,14 @@ def agreement_sweep(c1_min: int, c2_bound: int) -> tuple[int, bool, bool]:
 
     Returns ``(cases, all_agree, epsilon_rule_verified)``: the pair
     count (-c1_min/2 + 1) (4 c2_bound + 2)^2, whether the Horrocks and
-    plain sums agree on every pair, and whether epsilon(-2n) =
-    [n = 2 (mod 4)] for n = 0..-c1_min/2.  Both sums add c2, and at
-    c1 = -2n their alphas differ by [n = 2 (mod 4)] - epsilon(-2n)
-    whatever the summands, so one pair per residue of n mod 4 decides
-    the sweep.  A positive or odd ``c1_min`` or a negative ``c2_bound``
+    plain sums agree on every pair, and whether epsilon(-2n) equals
+    alpha_balanced_split(n), the alpha of O(n) + O(-n) by the
+    divisibility route, for n = 0..-c1_min/2.  Both sums add c2, and at
+    c1 = -2n each adds epsilon(-2n) to the summands' alphas: the Horrocks
+    sum as its correction, the plain sum as its identity's alpha (see
+    :class:`GroupDescriptorA1`).  Both sides of the rule depend only on
+    n mod 4, so one pair and one rule check per residue decide the
+    sweep.  A positive or odd ``c1_min`` or a negative ``c2_bound``
     raises :class:`DomainError`: the sweep would be empty or stop short
     of ``c1_min``.
     """
@@ -296,7 +295,7 @@ def agreement_sweep(c1_min: int, c2_bound: int) -> tuple[int, bool, bool]:
         agreement_check(Rank2BundleClass(-2 * n, 0, 0), Rank2BundleClass(-2 * n, 0, 0))
         for n in residues
     )
-    rule = all(epsilon(-2 * n) == _horrocks_bump(-2 * n) for n in residues)
+    rule = all(epsilon(-2 * n) == alpha_balanced_split(n) for n in residues)
     cases = (-c1_min // 2 + 1) * (4 * c2_bound + 2) ** 2
     return cases, all_agree, rule
 
@@ -452,8 +451,8 @@ def generation_closure(
                 peers, row = peers_by_c1[c1], open_by_c1[c1]
                 peers[code] = found
                 row.discard(code)
-                # target t's partner: c2 = t's c2 - c2, alpha = t's alpha + alpha + bump
-                shift, flip = code - bit, 0 if c1 % 2 else bit ^ _horrocks_bump(c1)
+                # target t's partner: c2 = t's c2 - c2, alpha = t's alpha + alpha + epsilon(c1)
+                shift, flip = code - bit, 0 if c1 % 2 else bit ^ epsilon(c1)
                 for t in row:
                     other = peers.get((t - shift) ^ flip)
                     if other is None:

@@ -152,7 +152,7 @@ class GroupDescriptorV0:
     form of :func:`feasible_c3_lattice`, which also rejects an infeasible
     base; the identity (base_c1, base_c2, 0) is built once, as
     ``identity``.  ``kernel_kind`` is the kernel of the c3 homomorphism,
-    read off the base by the mod-3 rule.
+    read off the spacing: Z/3 exactly when its 3-part d3 is 1.
     """
 
     base_c1: int
@@ -171,10 +171,8 @@ class GroupDescriptorV0:
 
     @property
     def kernel_kind(self) -> str:
-        """Z/3 when both base classes are divisible by 3, trivial otherwise."""
-        if self.base_c1 % 3 == 0 and self.base_c2 % 3 == 0:
-            return KERNEL_Z3
-        return KERNEL_TRIVIAL
+        """Z/3 when 3 does not divide the spacing (d3 = 1), trivial otherwise."""
+        return KERNEL_Z3 if self.c3_generator % 3 else KERNEL_TRIVIAL
 
 
 def make_group(base_c1: int, base_c2: int, scan: int) -> GroupDescriptorV0:

@@ -1,12 +1,12 @@
 """Tests for the quadric parametrization of split elements.
 
 The exhaustive searches that the library no longer runs survive here as
-oracles: a box^2 scan over (x, y) for the enumeration, and for the
-coverage report a scan over all four family-1 parameters (u, v, l, w),
-a walk over every (u, v, l), and a scan over every (u, v) solved for l,
-where coverage_check now solves each solution for its generators.  The
-quadric form Q and the coordinate change onto it live here too, as the
-oracles for the family-1 derivation.
+oracles: a box^2 scan over (x, y) for the enumeration, and two for the
+coverage report, where coverage_check now solves each solution for its
+generators: a scan over all four family-1 parameters (u, v, l, w), the
+definition, on small boxes, and a scan over every (u, v) solved for l
+on the large seeded sweep.  The quadric form Q and the coordinate change
+onto it live here too, as the oracles for the family-1 derivation.
 """
 
 import json
@@ -92,42 +92,6 @@ def _coverage_scan(a, b, box, param_bound):
                 if (w * a0, w * u * l) in ((a, b), (b, a)):
                     key = _canonical((w * x0, w * u * (l - v), w * u * (u + v)))
                     matches.setdefault(key, (FAMILY1, (u, v, l, w)))
-    matched = [(t, *matches[t]) for t in targets if t in matches]
-    return matched, [t for t in targets if t not in matches]
-
-
-def _uvl_scan(a, b, box, param_bound):
-    """Matched (triple, kind, params) and unmatched triples, walking every (u, v, l).
-
-    The identity-type match comes first; then each (u, v, l) in order is
-    tried with the at most two scales its base allows, the first
-    generator in (u, v, l, w) order is recorded, and the walk stops once
-    every triple has one.
-    """
-    targets = _box_scan(a, b, box)
-    matches = {}
-    if max(abs(a), abs(b)) <= param_bound:
-        matches[_canonical((a, b, 0))] = (FAMILY2, (b, a, 1))
-    wanted = set(targets) - set(matches)
-    span = range(-param_bound, param_bound + 1)
-    bases = ((a, b), (b, a))
-    for u, v, l in product(span, repeat=3):
-        if not wanted:
-            break
-        x0 = v * (v + u - l)
-        a0, b0 = u * u + x0, u * l
-        if a0:
-            scales = sorted((a // a0, b // a0))
-        elif b0:
-            scales = sorted((b // b0, a // b0))
-        else:
-            continue  # the zero triple
-        for w in scales:
-            if abs(w) <= param_bound and (w * a0, w * b0) in bases:
-                key = _canonical((w * x0, w * u * (l - v), w * u * (u + v)))
-                if key in wanted:
-                    matches[key] = (FAMILY1, (u, v, l, w))
-                    wanted.discard(key)
     matched = [(t, *matches[t]) for t in targets if t in matches]
     return matched, [t for t in targets if t not in matches]
 
@@ -379,34 +343,6 @@ class TestCoverage:
                 assert matched == expected_matched, (a, b, box, bound)
                 assert [s.triple for s in report.unmatched] == expected_unmatched
 
-    def test_matches_uvl_scan_at_benchmark_scale(self):
-        cases = [
-            (a, b, 6, bound)
-            for a, b in ((3, 0), (-3, -3), (4, -1), (0, 3))
-            for bound in (16, 20)
-        ]
-        for a, b, box, bound in cases + [(-34, -25, 40, MAX_PARAM_BOUND)]:
-            report = coverage_check(a, b, box, bound)
-            matched = [(s.triple, p.kind, p.params) for s, p in report.matched]
-            unmatched = [s.triple for s in report.unmatched]
-            assert (matched, unmatched) == _uvl_scan(a, b, box, bound), (a, b, box, bound)
-
-    def test_family1_points_within_span_squared(self, monkeypatch):
-        # solving for l evaluates far fewer than the (2P+1)^3 points of a full walk
-        calls = 0
-        point = diophantine._family1_point
-
-        def counting_point(*args):
-            nonlocal calls
-            calls += 1
-            return point(*args)
-
-        monkeypatch.setattr(diophantine, "_family1_point", counting_point)
-        for args in ((-34, -25, 40, MAX_PARAM_BOUND), (3, 0, 6, MAX_PARAM_BOUND)):
-            calls = 0
-            coverage_check(*args)
-            assert calls <= (2 * MAX_PARAM_BOUND + 1) ** 2, (args, calls)
-
     def test_matches_uv_scan_on_seeded_sweep(self):
         rng = random.Random(1)
         cases = [
@@ -414,11 +350,13 @@ class TestCoverage:
             for _ in range(6000)
         ]
         cases += [(-34, -25, 40, MAX_PARAM_BOUND), (0, -31, 40, MAX_PARAM_BOUND)]
+        cases += [(a, b, 6, bound)
+                  for a, b in ((3, 0), (-3, -3), (4, -1), (0, 3)) for bound in (16, 20)]
         for case in json.loads(GOLDEN_CLI.read_text()):
             if case["argv"].startswith("quadric cover "):
                 args = build_parser().parse_args(case["argv"].split())
                 cases.append((args.a, args.b, args.box, args.param_bound))
-        assert len(cases) == 6005
+        assert len(cases) == 6013
         solvable = u_zero_generators = 0
         for args in cases:
             try:
@@ -433,7 +371,7 @@ class TestCoverage:
             assert (matched, [s.triple for s in report.unmatched]) == expected, args
             solvable += 1
             u_zero_generators += sum(kind == FAMILY1 and params[0] == 0 for _, kind, params in matched)
-        assert solvable == 1469 + 2 + 2
+        assert solvable == 1469 + 2 + 8 + 2
         assert u_zero_generators  # some generators come from the u = 0 divisor branch
 
     def test_family1_points_scale_with_solutions(self, monkeypatch):
@@ -447,7 +385,7 @@ class TestCoverage:
             return point(*args)
 
         monkeypatch.setattr(diophantine, "_family1_point", counting_point)
-        for a, b, box in ((-34, -25, 40), (0, -31, 40)):
+        for a, b, box in ((-34, -25, 40), (0, -31, 40), (3, 0, 6)):
             counts = []
             for bound in (12, MAX_PARAM_BOUND):
                 calls = 0

@@ -1,11 +1,14 @@
 """One integer rule: every count, bound, twist and box is an int, never a bool.
 
-Each public entry point that takes such an argument rejects ``True`` and
-``1.5`` with a :class:`DomainError` naming the argument, and the package
-decides what an integer is with ``type(x) is int``, never ``isinstance``.
+Each public entry point that takes such an argument (its rows derived
+from the signatures) rejects ``True`` and ``1.5`` with a DomainError
+naming the argument, and the package decides what an integer is with
+``type(x) is int``, never ``isinstance``.
 """
 
 import ast
+import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,133 +18,108 @@ from bundle_arith.errors import DomainError, require_int
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bundle_arith"
 
+MODULES = (cohomology, diophantine, rank2, rank3)
 CV = cohomology.ChernVector(2, 3, (1, 2))
 V2 = rank2.Rank2BundleClass(0, 0, 0)
 G3 = rank3.make_group(3, 0, 24)
 W3 = rank3.Rank3BundleClass(3, 0, -4)
 
-
-def _solution(field, x):
-    """The solution (1, 0, 0, 1, 0) with ``field`` set to ``x``."""
-    values = {"x": 1, "y": 0, "z": 0, "a": 1, "b": 0}
-    values[field] = x
-    return diophantine.QuadricSolution(**values)
-
-
-def _replaced(values, i, x):
-    """``values`` as a list with entry i set to ``x``."""
-    values = list(values)
-    values[i] = x
-    return values
-
-
-# (name the message starts with, call with the argument under test set to x)
-ENTRY_POINTS = {
-    "ChernVector-rank": ("rank", lambda x: cohomology.ChernVector(x, 3, (1,))),
-    "ChernVector-dim": ("dim", lambda x: cohomology.ChernVector(1, x, (1,))),
-    "ChernVector-c": ("c", lambda x: cohomology.ChernVector(1, 3, (x,))),
-    "split_chern_vector-dim": ("dim", lambda x: cohomology.split_chern_vector(x, (1, 2))),
-    "split_chern_vector-twists[0]": (
-        "twists[0]", lambda x: cohomology.split_chern_vector(3, (x, 2))
-    ),
-    "euler_characteristic": ("twist", lambda x: cohomology.euler_characteristic(CV, x)),
-    "feasible_c3_lattice": (
-        "scan bound", lambda x: cohomology.feasible_c3_lattice(3, 0, x)
-    ),
-    "epsilon": ("a", lambda x: rank2.epsilon(x)),
-    "delta-c1": ("c1", lambda x: rank2.delta(x, 0)),
-    "delta-c2": ("c2", lambda x: rank2.delta(0, x)),
-    "alpha_extendable-c1": ("c1", lambda x: rank2.alpha_extendable(x, 0)),
-    "alpha_extendable-c2": ("c2", lambda x: rank2.alpha_extendable(0, x)),
-    "alpha_balanced_split": ("b", lambda x: rank2.alpha_balanced_split(x)),
-    "count_classes-c1": ("c1", lambda x: rank2.count_classes(x, 0)),
-    "count_classes-c2": ("c2", lambda x: rank2.count_classes(0, x)),
-    "split_rank2-x": ("x", lambda x: rank2.split_rank2(x, 0)),
-    "split_rank2-y": ("y", lambda x: rank2.split_rank2(0, x)),
-    **{
-        f"split_rank3-{t}": (
-            t, lambda x, i=i: rank3.split_rank3(*_replaced((0, 0, 0), i, x))
-        )
-        for i, t in enumerate("xyz")
-    },
-    "Rank2BundleClass-c1": ("c1", lambda x: rank2.Rank2BundleClass(x, 0, 0)),
-    "Rank2BundleClass-c2": ("c2", lambda x: rank2.Rank2BundleClass(1, x)),
-    **{
-        f"Rank3BundleClass-{c}": (
-            c, lambda x, i=i: rank3.Rank3BundleClass(*_replaced((3, 0, -4), i, x))
-        )
-        for i, c in enumerate(("c1", "c2", "c3"))
-    },
-    "GroupDescriptorA1-a1": ("a1", lambda x: rank2.GroupDescriptorA1(x)),
-    "GroupDescriptorA1-b": ("shift b", lambda x: rank2.GroupDescriptorA1(0, x)),
-    "tensor_line": ("twist k", lambda x: rank2.tensor_line(V2, x)),
-    "agreement_sweep-c1_min": ("c1_min", lambda x: rank2.agreement_sweep(x, 2)),
-    "agreement_sweep-c2_bound": ("c2_bound", lambda x: rank2.agreement_sweep(-4, x)),
-    # a generator: the check fires when iteration starts
-    **{
-        f"realizable_classes-{b}": (
-            b, lambda x, i=i: list(rank2.realizable_classes(*_replaced((-2, 0, 2), i, x)))
-        )
-        for i, b in enumerate(("c1_min", "c1_max", "c2_bound"))
-    },
-    "generation_closure-c1_min": (
-        "c1_min", lambda x: rank2.generation_closure(x, 0, 2, x, 0, 2)
-    ),
-    "generation_closure-c1_max": (
-        "c1_max", lambda x: rank2.generation_closure(-2, x, 2, -2, x, 2)
-    ),
-    "generation_closure-c2_bound": (
-        "c2_bound", lambda x: rank2.generation_closure(-2, 0, x, -2, 0, x)
-    ),
-    "generation_closure-search_c1_min": (
-        "search_c1_min", lambda x: rank2.generation_closure(-2, 0, 2, x, 0, 2)
-    ),
-    "generation_closure-search_c1_max": (
-        "search_c1_max", lambda x: rank2.generation_closure(-2, 0, 2, -2, x, 2)
-    ),
-    "generation_closure-search_c2_bound": (
-        "search_c2_bound", lambda x: rank2.generation_closure(-2, 0, 2, -2, 0, x)
-    ),
-    "iterate": ("iteration count", lambda x: rank3.iterate(G3, W3, x)),
-    "smallest_nonsplit_multiple": (
-        "bound", lambda x: rank3.smallest_nonsplit_multiple(G3, W3, x)
-    ),
-    "make_group": ("scan bound", lambda x: rank3.make_group(3, 0, x)),
-    "make_group-base_c1": ("base_c1", lambda x: rank3.make_group(x, 0, 24)),
-    "make_group-base_c2": ("base_c2", lambda x: rank3.make_group(3, x, 24)),
-    "GroupDescriptorV0-base_c1": ("base_c1", lambda x: rank3.GroupDescriptorV0(x, 0)),
-    "GroupDescriptorV0-base_c2": ("base_c2", lambda x: rank3.GroupDescriptorV0(3, x)),
-    "is_split_realizable-c1": ("c1", lambda x: rank3.is_split_realizable(x, 0, 0)),
-    "is_split_realizable-c2": ("c2", lambda x: rank3.is_split_realizable(3, x, 0)),
-    "is_split_realizable-c3": ("c3", lambda x: rank3.is_split_realizable(3, 0, x)),
-    "brute_force_solutions-a": (
-        "a", lambda x: diophantine.brute_force_solutions(x, 0, 6)
-    ),
-    "brute_force_solutions-b": (
-        "b", lambda x: diophantine.brute_force_solutions(3, x, 6)
-    ),
-    "brute_force_solutions-box": (
-        "box", lambda x: diophantine.brute_force_solutions(3, 0, x)
-    ),
-    "coverage_check-a": ("a", lambda x: diophantine.coverage_check(x, 0, 6, 2)),
-    "coverage_check-b": ("b", lambda x: diophantine.coverage_check(3, x, 6, 2)),
-    "coverage_check-box": ("box", lambda x: diophantine.coverage_check(3, 0, x, 2)),
-    "coverage_check-param_bound": (
-        "param_bound", lambda x: diophantine.coverage_check(3, 0, 6, x)
-    ),
-    **{
-        f"QuadricSolution-{field}": (field, lambda x, field=field: _solution(field, x))
-        for field in ("x", "y", "z", "a", "b")
-    },
-    **{
-        f"param_family1-{p}": (
-            p, lambda x, i=i: diophantine.param_family1(*_replaced((1, 1, 0, 1), i, x))
-        )
-        for i, p in enumerate("uvlw")
-    },
-    "param_family2-t": ("t", lambda x: diophantine.param_family2(x, 2)),
-    "param_family2-l": ("l", lambda x: diophantine.param_family2(2, x)),
+# One valid call per public callable that takes an int; each row changes one argument
+VALID_CALLS = {
+    cohomology.ChernVector: (1, 3, (1,)), cohomology.split_chern_vector: (3, (1, 2)),
+    cohomology.euler_characteristic: (CV, 0), cohomology.feasible_c3_lattice: (3, 0, 24),
+    diophantine.QuadricSolution: (1, 0, 0, 1, 0), diophantine.param_family1: (1, 1, 0, 1),
+    diophantine.param_family2: (2, 2), diophantine.brute_force_solutions: (3, 0, 6),
+    diophantine.coverage_check: (3, 0, 6, 2),
+    rank2.Rank2BundleClass: (0, 0, 0), rank2.GroupDescriptorA1: (0, 0), rank2.epsilon: (0,),
+    rank2.delta: (0, 0), rank2.alpha_extendable: (0, 0), rank2.alpha_balanced_split: (0,),
+    rank2.split_rank2: (0, 0), rank2.agreement_sweep: (-4, 2), rank2.tensor_line: (V2, 1),
+    rank2.count_classes: (0, 0), rank2.realizable_classes: (-2, 0, 2),
+    rank2.generation_closure: (-2, 0, 2, -2, 0, 2),
+    rank3.Rank3BundleClass: (3, 0, -4), rank3.GroupDescriptorV0: (3, 0),
+    rank3.split_rank3: (0, 0, 0), rank3.is_split_realizable: (3, 0, 0),
+    rank3.make_group: (3, 0, 24), rank3.iterate: (G3, W3, 2),
+    rank3.smallest_nonsplit_multiple: (G3, W3, 2),
 }
+
+# (callable, parameter): the name its error message gives the argument
+ALIASES = {
+    (rank2.GroupDescriptorA1, "b"): "shift b", (rank2.tensor_line, "k"): "twist k",
+    (rank3.iterate, "n"): "iteration count", (rank3.make_group, "scan"): "scan bound",
+    (cohomology.feasible_c3_lattice, "scan"): "scan bound",
+}
+
+# (callable, parameter): why the parameter has no row
+EXEMPT = {
+    (rank2.Rank2BundleClass, "alpha"): "a Z/2 value, checked against {0, 1} (None at odd c1)",
+    (rank2.ReachedClass, "cost"): "a report field the closure fills in, never an input",
+    (rank2.GenerationReport, "searched"): "a report field the closure fills in, never an input",
+    (diophantine.Provenance, "params"): "a record of the generator param_family1/2 checked",
+}
+
+# Sequences of ints, one row for an element: (callable, parameter) -> {row id: (name, call)}
+ELEMENT_ROWS = {
+    (cohomology.ChernVector, "c"): {"ChernVector-c": ("c", lambda x: cohomology.ChernVector(1, 3, (x,)))},
+    (cohomology.split_chern_vector, "twists"): {"split_chern_vector-twists[0]": (
+        "twists[0]", lambda x: cohomology.split_chern_vector(3, (x, 2)))},
+}
+
+
+def _int_parameters():
+    """(callable, position, parameter, annotation) for each public parameter typed with int."""
+    for module in MODULES:
+        for obj in map(vars(module).get, module.__all__):
+            params = inspect.signature(obj).parameters.values() if callable(obj) else ()
+            for i, p in enumerate(params):
+                tree = ast.parse(p.annotation, mode="eval")
+                if any(isinstance(node, ast.Name) and node.id == "int" for node in ast.walk(tree)):
+                    yield obj, i, p.name, p.annotation
+
+
+def _call(obj, args):
+    if inspect.isgenerator(result := obj(*args)):
+        list(result)  # a generator checks its arguments when iteration starts
+
+
+def _derived_rows():
+    """Row id -> (name the message starts with, call with the argument under test set to x).
+
+    Each parameter annotated int gets a row from its callable's valid call.
+    The id names the parameter unless it is the callable's only int input
+    or its scan bound.
+    """
+    params = list(_int_parameters())
+    counts = Counter(obj for obj, *_ in params)
+    rows = {}
+    for obj, i, param, annotation in params:
+        if (obj, param) in ELEMENT_ROWS:
+            rows.update(ELEMENT_ROWS[obj, param])
+        elif annotation == "int" and obj in VALID_CALLS and (obj, param) not in EXEMPT:
+            args = VALID_CALLS[obj]
+            bare = counts[obj] == 1 or param == "scan"
+            rows[obj.__name__ if bare else f"{obj.__name__}-{param}"] = (
+                ALIASES.get((obj, param), param),
+                lambda x, obj=obj, args=args, i=i: _call(obj, (*args[:i], x, *args[i + 1:])),
+            )
+    return rows
+
+
+ENTRY_POINTS = _derived_rows()
+
+
+def test_every_int_parameter_has_a_row():
+    # a derived row (an int annotation and a valid call), an element row or an exemption;
+    covered = {**ELEMENT_ROWS, **EXEMPT}
+    params = list(_int_parameters())
+    missing = [f"{obj.__name__}.{param}" for obj, _, param, annotation in params
+               if (obj, param) not in covered and not (annotation == "int" and obj in VALID_CALLS)]
+    assert not missing, missing
+    # and no table names a callable or a parameter that is gone
+    known = {(obj, param) for obj, _, param, _ in params}
+    assert set(VALID_CALLS) <= {obj for obj, _ in known}
+    assert set(ALIASES) | set(covered) <= known
+    for obj, args in VALID_CALLS.items():  # so each row's error is its bad argument's
+        _call(obj, args)
 
 
 @pytest.mark.parametrize("bad", [True, 1.5], ids=["bool", "float"])

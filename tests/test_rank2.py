@@ -10,6 +10,7 @@ from functools import lru_cache
 
 import pytest
 
+from bundle_arith import rank2
 from bundle_arith.errors import (
     DomainError,
     FormulaNotApplicableError,
@@ -404,6 +405,19 @@ class TestAgreement:
         answer = agreement_sweep(-(10**6), 10**6)
         assert time.perf_counter() - start < 1.0
         assert answer == ((10**6 // 2 + 1) * (4 * 10**6 + 2) ** 2, True, True)
+
+    def test_wrong_epsilon_breaks_agreement_and_rule(self, monkeypatch):
+        # the Horrocks sum reads epsilon; the plain identity's alpha and the rule's
+        # divisibility route do not, so each wrong residue of n mod 4 shows twice
+        right = rank2.epsilon
+        for r in range(4):
+            monkeypatch.setattr(rank2, "epsilon", lambda a, r=r: right(a) ^ ((-a // 2) % 4 == r))
+            assert agreement_sweep(-40, 10) == (37044, False, False), r
+
+    def test_wrong_divisibility_route_breaks_rule(self, monkeypatch):
+        right = rank2.alpha_balanced_split
+        monkeypatch.setattr(rank2, "alpha_balanced_split", lambda b: 1 - right(b))
+        assert agreement_sweep(-40, 10) == (37044, True, False)
 
     def test_minus_four_both_give_alpha_one(self):
         v = Rank2BundleClass(-4, 0, 0)

@@ -2,8 +2,9 @@
 
 The README's CLI examples are also the first golden CLI cases and the
 examples ``bench/workloads.py`` runs; the caps its prose names are
-constants of the package.  Each copy is checked against its source, so
-an edit to one side fails here instead of drifting.
+constants of the package; the times and rates its design notes quote
+come from a committed ``BENCH_<n>.json``.  Each copy is checked against
+its source, so an edit to one side fails here instead of drifting.
 """
 
 import ast
@@ -17,6 +18,8 @@ from bundle_arith import cohomology, diophantine, rank2
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
 MODULES = {"cohomology": cohomology, "diophantine": diophantine, "rank2": rank2}
+# A time or rate: 0.27 ms, 3.3-3.4 us, 574k/s, 65.8k calls a second, +26%
+MEASUREMENT = re.compile(r"(?<![\w^])\d(?:[\d.,k-]|\s)*(?:[mnuµ]?s\b|/s\b|%| calls a second)")
 
 
 def _readme_examples():
@@ -67,3 +70,13 @@ def test_caps_in_prose_match_their_constants():
         assert getattr(MODULES[module], name) == value, name
     [cache] = re.findall(r"LRU cache of (\d+\^\d+) classes", prose)
     assert _number(cache) == cohomology._feasible.cache_info().maxsize == 2**15
+
+
+def test_design_note_figures_name_their_bench_file():
+    notes = README.split("\n## Design notes\n", 1)[1].split("\n## ", 1)[0]
+    bullets = [" ".join(b.split()) for b in notes.split("\n- ")[1:]]
+    measured = [b for b in bullets if MEASUREMENT.search(b)]
+    assert measured  # the detector sees the quoted figures
+    for bullet in measured:
+        files = re.findall(r"BENCH_\d+\.json", bullet)
+        assert files and all((ROOT / f).is_file() for f in files), bullet

@@ -64,7 +64,8 @@ MAX_SEARCH_EXTENT = 66  # max|c1| + c2 bound of generation_closure's search box:
 
 def epsilon(a: int) -> int:
     """Z/2 correction term of the plain group law: 1 iff a = 4 (mod 8)."""
-    require_int(a, "a")
+    if type(a) is not int:  # require_int only words the error
+        require_int(a, "a")
     if a % 2:
         raise DomainError(f"epsilon is defined for even integers only, got {a}")
     return 1 if a % 8 == 4 else 0

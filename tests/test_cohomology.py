@@ -1,10 +1,14 @@
 """Tests for Riemann-Roch on CP^n and the feasibility predicate.
 
 The library computes chi from the integer identity
-n! chi(V(t)) = sum_k p_k e_{n-k}(t + 1, ..., t + n).  The oracle here
-takes the textbook route instead: the h^n coefficient of
-ch(V) Td(CP^n) e^(th) over plain Fraction lists, with ch read off
-log c(V) rather than Newton's identities.
+n! chi(V(t)) = sum_k p_k e_{n-k}(t + 1, ..., t + n).  Its oracle is
+``oracle.chi`` in ``bench/oracle.py``, which takes the Todd-class route
+instead: td_0..td_n of CP^n read off the polynomial C(n + a, n) in a
+(``oracle.todd_coefficients``), and chi(V(t)) = sum_m td_{n-m} ch_m(V(t))
+with ch_m = p_m / m!, the twist applied to the power sums by binomial
+expansion.  The predicate's path before its per-dimension plan and the
+c3 lattice before its closed form stay here, as the oracles for those
+two.
 """
 
 import itertools
@@ -17,6 +21,7 @@ from operator import mul
 
 import pytest
 
+import oracle
 from bundle_arith import cohomology
 from bundle_arith.cohomology import (
     MAX_DIM,
@@ -36,64 +41,6 @@ from bundle_arith.rank3 import (
     make_group,
     subgroup_index,
 )
-
-
-def _mul(a, b):
-    """Product of two series in h of the same length, truncated to it."""
-    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
-
-
-def _inverse(a):
-    out = [1 / Fraction(a[0])]
-    for k in range(1, len(a)):
-        out.append(-out[0] * sum(a[i] * out[k - i] for i in range(1, k + 1)))
-    return out
-
-
-def _exp(n, t):
-    """e^(th) truncated at degree n."""
-    return [Fraction(t**k, math.factorial(k)) for k in range(n + 1)]
-
-
-@lru_cache(maxsize=None)
-def _todd(n):
-    """Todd class of CP^n: (h / (1 - e^(-h)))^(n+1), truncated at degree n."""
-    base = [Fraction((-1) ** k, math.factorial(k + 1)) for k in range(n + 1)]
-    td, inv = [Fraction(1)] + [Fraction(0)] * n, _inverse(base)
-    for _ in range(n + 1):
-        td = _mul(td, inv)
-    return tuple(td)
-
-
-@lru_cache(maxsize=None)
-def _twisted_todd(n, twist):
-    """Td(CP^n) e^(twist h), truncated at degree n, as integer numerators over one denominator."""
-    td = _mul(list(_todd(n)), _exp(n, twist))
-    den = math.lcm(*(c.denominator for c in td))
-    return tuple(c.numerator * (den // c.denominator) for c in td), den
-
-
-def _chi_oracle(v, twist):
-    """h^n coefficient of ch(v) Td(CP^n) e^(twist h), ch from log c(v)."""
-    n = v.dim
-    x = [0] + list(v.c[:n]) + [0] * (n - min(v.rank, n))  # c(v) - 1
-    # log c(v) = sum_m (-1)^(m+1) x^m / m = sum_k (-1)^(k+1) p_k h^k / k,
-    # summed in integers scaled by lcm(1..n)
-    scale = math.lcm(*range(1, n + 1))
-    log, power = [0] * (n + 1), [1] + [0] * n
-    for m in range(1, n + 1):
-        # power = x^m, which starts at h^m as x[0] = 0: skip the zeros below
-        power = [0] * m + [
-            sum(power[i] * x[k - i] for i in range(m - 1, k)) for k in range(m, n + 1)
-        ]
-        log = [a + (-1) ** (m + 1) * (scale // m) * b for a, b in zip(log, power)]
-    # ch_k = (-1)^(k+1) k log_k / (scale k!), as numerators over scale n!
-    fact = math.factorial(n)
-    ch = [v.rank * scale * fact] + [
-        (-1) ** (k + 1) * k * log[k] * (fact // math.factorial(k)) for k in range(1, n + 1)
-    ]
-    td, den = _twisted_todd(n, twist)
-    return Fraction(sum(ch[k] * td[n - k] for k in range(n + 1)), scale * fact * den)
 
 
 # The predicate's path before the per-dimension plan, kept as an oracle:
@@ -144,39 +91,15 @@ def _old_c3_lattice(c1, c2, scan):
     return d
 
 
-class TestSeries:
-    """The oracle's series arithmetic."""
-
-    def test_difference_of_squares(self):
-        assert _mul([1, 1, 0, 0], [1, -1, 0, 0]) == [1, 0, -1, 0]
-
-    def test_one_is_neutral(self):
-        s = [3, Fraction(1, 2), 0, -7, 2]
-        assert _mul(s, [1, 0, 0, 0, 0]) == s
-
-    def test_truncation_drops_high_degrees(self):
-        assert _mul([1, 1, 1], [1, 1, 0]) == [1, 2, 2]
-
-    def test_inverse_roundtrip(self):
-        s = [1, 2, Fraction(-1, 3), 0, 4, 1]
-        assert _mul(s, _inverse(s)) == [1, 0, 0, 0, 0, 0]
-
-    def test_exponential_sums_exponents(self):
-        assert _mul(_exp(6, 2), _exp(6, 3)) == _exp(6, 5)
-
-
 class TestToddClass:
     def test_line(self):
-        assert _todd(1) == (1, 1)
-
-    def test_three_space(self):
-        assert _todd(3) == (1, 2, Fraction(11, 6), 1)
+        assert oracle.todd_coefficients(1) == (1, 1)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_unit_leading_term(self, n):
         # Td_0 = 1: chi(V(t)) = rank t^n / n! + lower terms, so the n-th
         # finite difference of chi in the twist is the rank
-        assert _todd(n)[0] == 1
+        assert oracle.todd_coefficients(n)[0] == 1
         v = ChernVector(3, n, (2, -1, 5))
         diff = sum(
             (-1) ** (n - i) * math.comb(n, i) * euler_characteristic(v, i)
@@ -194,7 +117,8 @@ class TestChernCharacter:
     def test_line_bundle_is_exponential(self):
         for a in range(-6, 7):
             v = ChernVector(1, 3, (a,))
-            assert chern_character(v) == tuple(_exp(3, a))
+            expected = tuple(Fraction(a**k, math.factorial(k)) for k in range(4))
+            assert chern_character(v) == expected
 
     def test_rank2_closed_form(self):
         for c1 in range(-8, 9):
@@ -289,7 +213,7 @@ class TestEulerCharacteristic:
             bound = rng.choice((5, 100, 10**6))
             c = tuple(rng.randint(-bound, bound) for _ in range(rank))
             v, twist = ChernVector(rank, dim, c), rng.randint(-10, 10)
-            assert euler_characteristic(v, twist) == _chi_oracle(v, twist)
+            assert euler_characteristic(v, twist) == oracle.chi(rank, dim, c, twist)
 
 
 class TestFeasibility:

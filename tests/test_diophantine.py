@@ -1,12 +1,15 @@
 """Tests for the quadric parametrization of split elements.
 
-The exhaustive searches that the library no longer runs survive here as
-oracles: a box^2 scan over (x, y) for the enumeration, and two for the
-coverage report, where coverage_check now solves each solution for its
-generators: a scan over all four family-1 parameters (u, v, l, w), the
-definition, on small boxes, and a scan over every (u, v) solved for l
-on the large seeded sweep.  The quadric form Q and the coordinate change
-onto it live here too, as the oracles for the family-1 derivation.
+The exhaustive searches that the library no longer runs serve as
+oracles.  The enumeration is checked against the box^2 scan over (x, y)
+in ``bench/oracle.py`` (``oracle.quadric_solutions``, in the order of
+``oracle.canonical``).  The coverage report, where coverage_check now
+solves each solution for its generators, is checked against two scans
+kept here: one over all four family-1 parameters (u, v, l, w), the
+definition, on small boxes, and one over every (u, v) solved for l on
+the large seeded sweep, whose points come from ``oracle.family1``, not
+from the library.  The quadric form Q and the coordinate change onto it
+live here too, as the oracles for the family-1 derivation.
 """
 
 import json
@@ -17,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import oracle
 from bundle_arith import diophantine
 from bundle_arith.cli import build_parser
 from bundle_arith.diophantine import (
@@ -53,36 +57,19 @@ def solution_to_point(s):
     return point
 
 
-def _canonical(triple):
-    return tuple(sorted(triple, reverse=True))
-
-
-def _box_scan(a, b, box, include_permutations=False):
-    """Every (x, y, z) with max(|x|, |y|, |z|) <= box, by scanning all (x, y)."""
-    found = []
-    for x in range(-box, box + 1):
-        for y in range(-box, box + 1):
-            z = a + b - x - y
-            if abs(z) <= box and x * y + y * z + z * x == a * b:
-                found.append((x, y, z))
-    if include_permutations:
-        return sorted(found)
-    return sorted({_canonical(t) for t in found})
-
-
 def _coverage_scan(a, b, box, param_bound):
     """Matched (triple, kind, params) and unmatched triples, scanning (u, v, l, w).
 
     Both identity-type variants are tried, then the first family-1
     generator in (u, v, l, w) order is recorded for each triple.
     """
-    targets = _box_scan(a, b, box)
+    targets = sorted(oracle.quadric_solutions(a, b, box))
     matches = {}
     for t, l, variant in ((b, a, 1), (a, b, 2)):
         if max(abs(t), abs(l)) <= param_bound:
             sol = param_family2(t, l)[variant - 1]
             if sol.base == (a, b):
-                matches.setdefault(_canonical(sol.triple), (FAMILY2, (t, l, variant)))
+                matches.setdefault(oracle.canonical(sol.triple), (FAMILY2, (t, l, variant)))
     span = range(-param_bound, param_bound + 1)
     if set(targets) - set(matches):
         for u, v, l in product(span, repeat=3):
@@ -90,7 +77,7 @@ def _coverage_scan(a, b, box, param_bound):
             a0 = u * u + v * v + u * v - l * v
             for w in span:
                 if (w * a0, w * u * l) in ((a, b), (b, a)):
-                    key = _canonical((w * x0, w * u * (l - v), w * u * (u + v)))
+                    key = oracle.canonical((w * x0, w * u * (l - v), w * u * (u + v)))
                     matches.setdefault(key, (FAMILY1, (u, v, l, w)))
     matched = [(t, *matches[t]) for t in targets if t in matches]
     return matched, [t for t in targets if t not in matches]
@@ -113,7 +100,7 @@ def _uv_scan(a, b, box, param_bound):
         raise DomainError(f"no solution over ({a}, {b}) lies in box {box}")
     matches = {}
     if max(abs(a), abs(b)) <= param_bound:
-        matches[_canonical((a, b, 0))] = param_family2(b, a)[0].provenance
+        matches[oracle.canonical((a, b, 0))] = param_family2(b, a)[0].provenance
 
     wanted = {s.triple for s in targets} - set(matches)
     span = range(-param_bound, param_bound + 1)
@@ -132,12 +119,12 @@ def _uv_scan(a, b, box, param_bound):
             elif not q * big_a:
                 ls.update(span)
         for l in sorted(ls):
-            x0, y0, z0, a0, b0 = diophantine._family1_point(u, v, l)
+            x0, y0, z0, a0, b0 = oracle.family1(u, v, l, 1)
             if not (a0 or b0):
                 continue  # the zero triple, matched above as the identity one
             for w in sorted({p // a0 if a0 else q // b0 for p, q in ((a, b), (b, a))}):
                 if abs(w) <= param_bound and (w * a0, w * b0) in ((a, b), (b, a)):
-                    key = _canonical((w * x0, w * y0, w * z0))
+                    key = oracle.canonical((w * x0, w * y0, w * z0))
                     if key in wanted:
                         matches[key] = Provenance(FAMILY1, (u, v, l, w))
                         wanted.discard(key)
@@ -281,9 +268,13 @@ class TestBruteForce:
     def test_matches_box_scan(self):
         for a, b in product(range(-15, 16), repeat=2):
             for box in (0, 2, 6, 25):
-                for raw in (False, True):
-                    sols = brute_force_solutions(a, b, box, raw)
-                    assert [s.triple for s in sols] == _box_scan(a, b, box, raw)
+                expected = oracle.quadric_solutions(a, b, box)
+                sols = brute_force_solutions(a, b, box)
+                assert [s.triple for s in sols] == sorted(expected)
+                # the box and both equations are symmetric in (x, y, z)
+                raw = {p for t in expected for p in permutations(t)}
+                sols = brute_force_solutions(a, b, box, include_permutations=True)
+                assert [s.triple for s in sols] == sorted(raw)
 
     def test_sphere_bound_answers_large_boxes(self):
         # x^2 + y^2 + z^2 = a^2 + b^2 bounds the scan, not the box
@@ -291,7 +282,7 @@ class TestBruteForce:
         sols = brute_force_solutions(3, 0, 10**18)
         assert [s.triple for s in sols] == [(2, 2, -1), (3, 0, 0)]
         big = brute_force_solutions(MAX_SCAN_RADIUS, 0, 10**18)
-        assert _canonical((MAX_SCAN_RADIUS, 0, 0)) in {s.triple for s in big}
+        assert oracle.canonical((MAX_SCAN_RADIUS, 0, 0)) in {s.triple for s in big}
         assert time.perf_counter() - start < 1.0
 
     def test_scan_radius_cap(self):

@@ -1,6 +1,5 @@
 """Tests for rank-2 classes, their group laws, and the generation search."""
 
-import ast
 import hashlib
 import heapq
 import math
@@ -10,6 +9,7 @@ from functools import lru_cache
 
 import pytest
 
+import oracle
 from bundle_arith import rank2
 from bundle_arith.errors import (
     DomainError,
@@ -128,6 +128,12 @@ class TestSplitAndClassValidation:
             Rank2BundleClass(-4, 3, alpha)
 
 
+def _random_class(rng, a1, r):
+    """A seeded class over a1: c2 from -r..r (doubled at odd a1), then alpha at even a1."""
+    c2 = rng.randint(-r, r) * (2 if a1 % 2 else 1)
+    return Rank2BundleClass(a1, c2) if a1 % 2 else Rank2BundleClass(a1, c2, rng.randint(0, 1))
+
+
 class TestPlainGroup:
     def test_identity_alpha_is_epsilon(self):
         for a1 in range(-4000, 4001, 2):
@@ -152,12 +158,7 @@ class TestPlainGroup:
         for _ in range(50):
             a1 = rng.randint(-10, 10)
             g = GroupDescriptorA1(a1)
-            c2 = rng.randint(-20, 20) * (2 if a1 % 2 else 1)
-            v = (
-                Rank2BundleClass(a1, c2)
-                if a1 % 2
-                else Rank2BundleClass(a1, c2, rng.randint(0, 1))
-            )
+            v = _random_class(rng, a1, 20)
             assert add(g, v, g.identity) == v
 
     def test_add_examples(self):
@@ -171,16 +172,7 @@ class TestPlainGroup:
         for _ in range(200):
             a1 = rng.randint(-10, 10)
             g = GroupDescriptorA1(a1)
-
-            def cls():
-                c2 = rng.randint(-30, 30) * (2 if a1 % 2 else 1)
-                return (
-                    Rank2BundleClass(a1, c2)
-                    if a1 % 2
-                    else Rank2BundleClass(a1, c2, rng.randint(0, 1))
-                )
-
-            v, w = cls(), cls()
+            v, w = (_random_class(rng, a1, 30) for _ in range(2))
             assert add(g, v, w).c2 == v.c2 + w.c2
 
     def test_alpha_additive_at_zero(self):
@@ -201,12 +193,7 @@ class TestPlainGroup:
         for _ in range(50):
             a1 = rng.randint(-10, 10)
             g = GroupDescriptorA1(a1)
-            c2 = rng.randint(-40, 40) * (2 if a1 % 2 else 1)
-            v = (
-                Rank2BundleClass(a1, c2)
-                if a1 % 2
-                else Rank2BundleClass(a1, c2, rng.randint(0, 1))
-            )
+            v = _random_class(rng, a1, 40)
             assert add(g, v, negate(g, v)) == g.identity
 
     def test_c1_mismatch_rejected(self):
@@ -246,16 +233,8 @@ class TestSingleDescriptor:
             assert plain.b == 0
             assert plain.identity == zero.identity == split_rank2(a1, 0)
 
-            def cls():
-                c2 = rng.randint(-30, 30) * (2 if a1 % 2 else 1)
-                return (
-                    Rank2BundleClass(a1, c2)
-                    if a1 % 2
-                    else Rank2BundleClass(a1, c2, rng.randint(0, 1))
-                )
-
             for _ in range(5):
-                v, w = cls(), cls()
+                v, w = (_random_class(rng, a1, 30) for _ in range(2))
                 assert add(plain, v, w) == add(zero, v, w)
                 assert negate(plain, v) == negate(zero, v)
 
@@ -273,12 +252,7 @@ class TestShiftedGroup:
             b = rng.randint(-5, 5)
             g = GroupDescriptorA1(a1, b)
             assert g.identity == split_rank2(a1 - b, b)
-            c2 = rng.randint(-20, 20) * (2 if a1 % 2 else 1)
-            v = (
-                Rank2BundleClass(a1, c2)
-                if a1 % 2
-                else Rank2BundleClass(a1, c2, rng.randint(0, 1))
-            )
+            v = _random_class(rng, a1, 20)
             assert add_shifted(g, v, g.identity) == v
 
     def test_zero_shift_reduces_to_plain(self):
@@ -295,16 +269,7 @@ class TestShiftedGroup:
             b = rng.randint(-5, 5)
             plain = GroupDescriptorA1(a1)
             shifted = GroupDescriptorA1(a1, b)
-
-            def cls():
-                c2 = rng.randint(-30, 30) * (2 if a1 % 2 else 1)
-                return (
-                    Rank2BundleClass(a1, c2)
-                    if a1 % 2
-                    else Rank2BundleClass(a1, c2, rng.randint(0, 1))
-                )
-
-            v, w, z = cls(), cls(), cls()
+            v, w, z = (_random_class(rng, a1, 30) for _ in range(3))
             lhs = add_shifted(shifted, add(plain, v, w), z)
             rhs = add(plain, v, add_shifted(shifted, w, z))
             assert lhs == rhs
@@ -324,12 +289,7 @@ class TestShiftedGroup:
             a1 = rng.randint(-12, 12)
             g = GroupDescriptorA1(a1, rng.randint(-6, 6))
             plain = GroupDescriptorA1(a1)
-            c2 = rng.randint(-40, 40) * (2 if a1 % 2 else 1)
-            x = (
-                Rank2BundleClass(a1, c2)
-                if a1 % 2
-                else Rank2BundleClass(a1, c2, rng.randint(0, 1))
-            )
+            x = _random_class(rng, a1, 40)
             e = g.identity
             assert negate(g, x) == add(plain, add(plain, e, e), negate(plain, x))
             assert add(g, x, negate(g, x)) == g.identity
@@ -637,30 +597,15 @@ def test_closure_matches_object_oracle_on_random_small_boxes():
         assert generation_closure(*box) == _object_closure(*box), box
 
 
-def _evaluate_witness(expr):
-    """(class, operation count) of a witness, built by the library's operations."""
-
-    def walk(node):
-        name, args = node.func.id, node.args
-        if name == "split":
-            return split_rank2(*map(ast.literal_eval, args)), 0
-        if name == "tensor":
-            cls, ops = walk(args[0])
-            return tensor_line(cls, ast.literal_eval(args[1])), ops + 1
-        assert name == "horrocks" and len(args) == 2
-        (v, v_ops), (w, w_ops) = walk(args[0]), walk(args[1])
-        return horrocks_sum(v, w), v_ops + w_ops + 1
-
-    return walk(ast.parse(expr, mode="eval").body)
-
-
 def test_doubled_box_witnesses_evaluate_to_their_classes():
-    # independent of the search: each witness, evaluated by split_rank2,
-    # tensor_line and horrocks_sum, lands on its class at its stated cost
+    # independent of the search and of the library: each witness, evaluated
+    # by the split, twist and Horrocks formulas of bench/oracle.py, lands on
+    # its class at its stated cost
     report = generation_closure(-24, 0, 32, -24, 0, 32)
     assert report.all_reached and len(report.reached) == 2086
     for r in report.reached:
-        assert _evaluate_witness(r.witness) == (r.cls, r.cost), r.witness
+        cls = (r.cls.c1, r.cls.c2, r.cls.alpha)
+        assert oracle.evaluate_witness(r.witness) == (cls, r.cost), r.witness
 
 
 # Cap-sized search boxes, too slow for the object oracle in tier-1 (1.2-1.4 s

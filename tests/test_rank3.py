@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import oracle
 from bundle_arith.errors import DomainError
 from bundle_arith.rank3 import (
     _MR_BASES,
@@ -349,23 +350,6 @@ def _strong_probable_prime(n, a):
     return False
 
 
-def _is_prime_oracle(n):
-    """Trial division by, then Miller-Rabin to, all 13 bases 2..41."""
-    if n < 2:
-        return False
-    for a in _MR_BASES:
-        if n % a == 0:
-            return n == a
-    return all(_strong_probable_prime(n, a) for a in _MR_BASES)
-
-
-def _next_prime_oracle(n):
-    candidate = n + 1
-    while not _is_prime_oracle(candidate):
-        candidate += 1
-    return candidate
-
-
 class TestPrimality:
     def test_matches_trial_division(self):
         def trial(n):
@@ -406,11 +390,13 @@ class TestPrimality:
             assert [_strong_probable_prime(n, a) for a in bases[: j + 1]] == [True] * j + [False], k
 
     def test_next_prime_matches_thirteen_base_oracle(self):
+        # the benchmark's oracle: trial division by, then Miller-Rabin to,
+        # its own 13 bases 2..41, below its 3 * 10^24 guard
         rng = random.Random(2025)
         draws = [rng.randrange(10, 10 ** rng.randint(2, 24)) for _ in range(20000)]
         windows = [m for n in _PSEUDOPRIMES if n < 10**12 for m in range(n - 500, n + 501)]
         for n in draws + windows:
-            assert _next_prime(n) == _next_prime_oracle(n), n
+            assert _next_prime(n) == oracle.next_prime(n), n
 
 
 class TestSubgroupIndex:

@@ -211,11 +211,6 @@ def feasible_c3_lattice(c1: int, c2: int, scan: int) -> int:
             f"identity Chern data ({c1}, {c2}, 0) is not feasible on CP^5"
         )
     d = (8 if c1 % 2 == 0 and c2 % 4 == 0 else 4) * (1 if c1 % 3 == c2 % 3 == 0 else 3)
-    return _require_within(c1, c2, d, scan)
-
-
-def _require_within(c1: int, c2: int, d: int, scan: int) -> int:
-    """The c3 spacing d over (c1, c2), or ConsistencyError if it exceeds ``scan``."""
     if d > scan:
         raise ConsistencyError(
             f"only c3 = 0 is feasible for ({c1}, {c2}) within |c3| <= {scan}; "

@@ -27,7 +27,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .cohomology import ChernVector, _require_within, feasible_c3_lattice, is_feasible
+from .cohomology import ChernVector, feasible_c3_lattice, is_feasible
 from .errors import DomainError, require_int
 
 __all__ = [
@@ -179,13 +179,13 @@ def make_group(base_c1: int, base_c2: int, scan: int) -> GroupDescriptorV0:
     """Descriptor for the group over base (base_c1, base_c2), capped by ``scan``.
 
     Rejects, in this order, a bad ``scan``, a base class that is not an
-    int, an infeasible base and a c3 spacing above ``scan``, as
-    :func:`feasible_c3_lattice` does; the spacing is derived once, inside
-    the descriptor.
+    int, an infeasible base and a c3 spacing above ``scan``.  The
+    descriptor checks the base; :func:`feasible_c3_lattice` then applies
+    the cap, so the spacing is derived twice, once in each.
     """
     require_int(scan, "scan bound", 1)
     g = GroupDescriptorV0(base_c1, base_c2)
-    _require_within(base_c1, base_c2, g.c3_generator, scan)
+    feasible_c3_lattice(base_c1, base_c2, scan)
     return g
 
 

@@ -7,9 +7,10 @@ in ``bench/oracle.py`` (``oracle.quadric_solutions``, in the order of
 solves each solution for its generators, is checked against two scans
 kept here: one over all four family-1 parameters (u, v, l, w), the
 definition, on small boxes, and one over every (u, v) solved for l on
-the large seeded sweep, whose points come from ``oracle.family1``, not
-from the library.  The quadric form Q and the coordinate change onto it
-live here too, as the oracles for the family-1 derivation.
+the large seeded sweep.  Both take their points from ``oracle.family1``
+and ``oracle.family2``, not from the library.  The quadric form Q and the
+coordinate change onto it live here too, as the oracles for the family-1
+derivation.
 """
 
 import json
@@ -60,24 +61,23 @@ def solution_to_point(s):
 def _coverage_scan(a, b, box, param_bound):
     """Matched (triple, kind, params) and unmatched triples, scanning (u, v, l, w).
 
-    Both identity-type variants are tried, then the first family-1
-    generator in (u, v, l, w) order is recorded for each triple.
+    Both identity-type variants of ``oracle.family2`` are tried, then the
+    first family-1 generator in (u, v, l, w) order is recorded for each
+    triple, from one ``oracle.family1`` point per (u, v, l), scaled by w.
     """
     targets = sorted(oracle.quadric_solutions(a, b, box))
     matches = {}
-    for t, l, variant in ((b, a, 1), (a, b, 2)):
+    for t, l, variant in ((b, a, 1), (a, b, 2)):  # both variants lie over (a, b)
         if max(abs(t), abs(l)) <= param_bound:
-            sol = param_family2(t, l)[variant - 1]
-            if sol.base == (a, b):
-                matches.setdefault(oracle.canonical(sol.triple), (FAMILY2, (t, l, variant)))
+            x, y, z, _, _ = oracle.family2(t, l, variant)
+            matches.setdefault(oracle.canonical((x, y, z)), (FAMILY2, (t, l, variant)))
     span = range(-param_bound, param_bound + 1)
     if set(targets) - set(matches):
         for u, v, l in product(span, repeat=3):
-            x0 = v * v + u * v - l * v
-            a0 = u * u + v * v + u * v - l * v
+            x0, y0, z0, a0, b0 = oracle.family1(u, v, l, 1)
             for w in span:
-                if (w * a0, w * u * l) in ((a, b), (b, a)):
-                    key = oracle.canonical((w * x0, w * u * (l - v), w * u * (u + v)))
+                if (w * a0, w * b0) in ((a, b), (b, a)):
+                    key = oracle.canonical((w * x0, w * y0, w * z0))
                     matches.setdefault(key, (FAMILY1, (u, v, l, w)))
     matched = [(t, *matches[t]) for t in targets if t in matches]
     return matched, [t for t in targets if t not in matches]
@@ -86,11 +86,14 @@ def _coverage_scan(a, b, box, param_bound):
 def _uv_scan(a, b, box, param_bound):
     """Matched (triple, kind, params) and unmatched triples, scanning every (u, v).
 
-    The identity-type match comes first.  Each (u, v) is then solved for
-    the l its base allows, l (p u + q v) = q (u^2 + uv + v^2) for (p, q)
-    = (a, b) or (b, a), and tried with at most two scales each; the
-    first generator in (u, v, l, w) order is recorded, and the scan stops
-    once every triple has one.  It raises DomainError as coverage_check does.
+    The identity-type match (``oracle.family2``) comes first.  Each (u, v)
+    is then solved for the l its base allows,
+    l (p u + q v) = q (u^2 + uv + v^2) for (p, q) = (a, b) or (b, a), and
+    its ``oracle.family1`` point tried with at most two scales; the first
+    generator in (u, v, l, w) order is recorded, and the scan stops once
+    every triple has one.  The targets are the library's enumeration,
+    checked by test_matches_box_scan.  It raises DomainError as
+    coverage_check does.
     """
     require_int(param_bound, "param_bound", 0)
     if param_bound > MAX_PARAM_BOUND:
@@ -100,7 +103,7 @@ def _uv_scan(a, b, box, param_bound):
         raise DomainError(f"no solution over ({a}, {b}) lies in box {box}")
     matches = {}
     if max(abs(a), abs(b)) <= param_bound:
-        matches[oracle.canonical((a, b, 0))] = param_family2(b, a)[0].provenance
+        matches[oracle.canonical(oracle.family2(b, a, 1)[:3])] = (FAMILY2, (b, a, 1))
 
     wanted = {s.triple for s in targets} - set(matches)
     span = range(-param_bound, param_bound + 1)
@@ -126,10 +129,9 @@ def _uv_scan(a, b, box, param_bound):
                 if abs(w) <= param_bound and (w * a0, w * b0) in ((a, b), (b, a)):
                     key = oracle.canonical((w * x0, w * y0, w * z0))
                     if key in wanted:
-                        matches[key] = Provenance(FAMILY1, (u, v, l, w))
+                        matches[key] = (FAMILY1, (u, v, l, w))
                         wanted.discard(key)
-    matched = [(s.triple, matches[s.triple].kind, matches[s.triple].params)
-               for s in targets if s.triple in matches]
+    matched = [(s.triple, *matches[s.triple]) for s in targets if s.triple in matches]
     return matched, [s.triple for s in targets if s.triple not in matches]
 
 
@@ -306,7 +308,7 @@ class TestCoverage:
         report = coverage_check(3, 0, 3, 5)
         prov = dict((s.triple, p) for s, p in report.matched)[(2, 2, -1)]
         regenerated = param_family1(*prov.params)
-        assert tuple(sorted(regenerated.triple, reverse=True)) == (2, 2, -1)
+        assert oracle.canonical(regenerated.triple) == (2, 2, -1)
         assert set(regenerated.base) == {3, 0}
 
     def test_identity_like_bases(self):

@@ -1,4 +1,10 @@
-"""Tests for rank-2 classes, their group laws, and the generation search."""
+"""Tests for rank-2 classes, their group laws, and the generation search.
+
+The oracles use ``bench/oracle.py``'s rank-2 formulas, not the laws they
+check: ``alpha_balanced`` for the alpha rule; ``split2``, ``twist2``,
+``horrocks2`` and ``realizable_classes`` for the object-based closure;
+``evaluate_witness`` for the closure's witnesses.
+"""
 
 import hashlib
 import heapq
@@ -34,7 +40,6 @@ from bundle_arith.rank2 import (
     generation_closure,
     horrocks_sum,
     negate,
-    realizable_classes,
     split_rank2,
     tensor_line,
 )
@@ -79,7 +84,7 @@ class TestAlphaFormulas:
 
     def test_divisibility_route_matches_case_rule(self):
         for b in range(-100, 101):
-            assert alpha_balanced_split(b) == (1 if b % 4 == 2 else 0)
+            assert alpha_balanced_split(b) == oracle.alpha_balanced(b)
 
     def test_two_routes_agree_on_all_even_splits(self):
         for x in range(-50, 51):
@@ -87,7 +92,7 @@ class TestAlphaFormulas:
                 if (x + y) % 2:
                     continue
                 b = (x - y) // 2
-                assert alpha_extendable(x + y, x * y) == (1 if b % 4 == 2 else 0)
+                assert alpha_extendable(x + y, x * y) == oracle.alpha_balanced(b)
 
 
 class TestSplitAndClassValidation:
@@ -352,7 +357,7 @@ class TestAgreement:
                         cases += 1
                         all_agree = agreement_check(v, w) and all_agree
                 rule = all(
-                    epsilon(-2 * n) == (1 if n % 4 == 2 else 0)
+                    epsilon(-2 * n) == oracle.alpha_balanced(n)
                     for n in range(-c1_min // 2 + 1)
                 )
                 expected = (cases, all_agree, rule)
@@ -480,75 +485,64 @@ class TestGenerationClosure:
 
 @lru_cache(maxsize=None)
 def _object_search(s1min, s1max, s2):
-    """The uniform-cost search of the object-based closure, kept as an oracle.
+    """The heap-ordered uniform-cost search of the closure, kept as an oracle.
 
-    Returns the settled classes, in settling order, with their cost and
-    witness.  Cached per search box: boxes sharing one search the same.
+    Its classes are (c1, c2, alpha) tuples from ``oracle.split2``,
+    ``oracle.twist2`` and ``oracle.horrocks2``.  Returns the settled classes,
+    in settling order, with their cost and witness.  Cached per search box:
+    boxes sharing one search the same.
     """
     xb = max(abs(s1min), abs(s1max)) + s2
-
-    def in_search_box(c1, c2):
-        return s1min <= c1 <= s1max and abs(c2) <= s2
-
     heap = []
 
     def push(cost, expr, cls):
-        key = (cls.c1, cls.c2, -1 if cls.alpha is None else cls.alpha)
-        heapq.heappush(heap, (cost, *key, expr, cls))
+        c1, c2, alpha = cls
+        heapq.heappush(heap, (cost, c1, c2, -1 if alpha is None else alpha, expr, cls))
 
     for x in range(-xb, xb + 1):
         for y in range(x, xb + 1):
-            if in_search_box(x + y, x * y):
-                push(0, f"split({x},{y})", split_rank2(x, y))
+            if s1min <= x + y <= s1max and abs(x * y) <= s2:
+                push(0, f"split({x},{y})", oracle.split2(x, y))
 
     settled = {}
     peers_by_c1 = {}
     while heap:
-        cost, _c1, _c2, _a, expr, cls = heapq.heappop(heap)
+        cost, c1, _c2, _a, expr, cls = heapq.heappop(heap)
         if cls in settled:
             continue
         settled[cls] = (cost, expr)
-        peers = peers_by_c1.setdefault(cls.c1, [])
+        peers = peers_by_c1.setdefault(c1, [])
         peers.append((cls, cost, expr))
 
-        k_lo = -((cls.c1 - s1min) // 2)
-        k_hi = (s1max - cls.c1) // 2
-        for k in range(k_lo, k_hi + 1):
-            if k == 0:
-                continue
-            twisted = tensor_line(cls, k)
-            if abs(twisted.c2) <= s2 and twisted not in settled:
+        for k in range(-((c1 - s1min) // 2), (s1max - c1) // 2 + 1):
+            twisted = oracle.twist2(cls, k)
+            if k and abs(twisted[1]) <= s2 and twisted not in settled:
                 push(cost + 1, f"tensor({expr}, {k})", twisted)
 
-        if cls.c1 <= 0:
+        if c1 <= 0:
             for other, other_cost, other_expr in peers:
-                combined = horrocks_sum(cls, other)
-                if abs(combined.c2) <= s2 and combined not in settled:
+                combined = oracle.horrocks2(cls, other)
+                if abs(combined[1]) <= s2 and combined not in settled:
                     first, second = sorted((expr, other_expr))
-                    push(
-                        cost + other_cost + 1,
-                        f"horrocks({first}, {second})",
-                        combined,
-                    )
+                    push(cost + other_cost + 1, f"horrocks({first}, {second})", combined)
     return settled
 
 
 def _object_closure(c1_min, c1_max, c2_bound, s1min, s1max, s2):
-    """generation_closure on validated class objects: the oracle for the int search."""
+    """generation_closure by the object search: the oracle for the int search.
+
+    Sorting ``oracle.realizable_classes`` gives the library's class order;
+    the value classes are built only for the comparison.
+    """
     settled = _object_search(s1min, s1max, s2)
-    reached = []
-    unreached = []
-    for cls in realizable_classes(c1_min, c1_max, c2_bound):
-        if cls in settled:
-            cost, expr = settled[cls]
-            reached.append(ReachedClass(cls, cost, expr))
+    reached, unreached = [], []
+    for c1, c2, alpha in sorted(oracle.realizable_classes(c1_min, c1_max, c2_bound)):
+        cls = Rank2BundleClass(c1, c2, alpha)
+        if (c1, c2, alpha) in settled:
+            reached.append(ReachedClass(cls, *settled[c1, c2, alpha]))
         else:
             unreached.append(cls)
-    return GenerationReport(
-        reached=tuple(reached),
-        unreached=tuple(unreached),
-        searched=len(settled),
-    )
+    return GenerationReport(tuple(reached), tuple(unreached), len(settled))
 
 
 # Odd and positive c1, unreached classes, and the doubled box at two report sizes
@@ -595,6 +589,15 @@ def test_closure_matches_object_oracle_on_random_small_boxes():
     for box in boxes:
         assert max(abs(box[3]), abs(box[4])) + box[5] <= 16
         assert generation_closure(*box) == _object_closure(*box), box
+
+
+def test_wrong_epsilon_separates_closure_from_object_oracle(monkeypatch):
+    # the object oracle adds Horrocks' correction by oracle.horrocks2, so a
+    # wrong rank2.epsilon moves the closure's alphas and not the oracle's
+    monkeypatch.setattr(rank2, "epsilon", lambda a: 1 if a % 8 == 0 else 0)
+    _object_search.cache_clear()  # a search cached before the patch would hide a dependence
+    box = ORACLE_BOXES[0]
+    assert generation_closure(*box) != _object_closure(*box)
 
 
 def test_doubled_box_witnesses_evaluate_to_their_classes():

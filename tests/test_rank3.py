@@ -65,7 +65,7 @@ class TestSplitRealizability:
         for x in range(-30, 31):
             for y in range(x, 31):
                 for z in range(y, 31):
-                    e1, e2, e3 = x + y + z, x * y + y * z + z * x, x * y * z
+                    e1, e2, e3 = oracle.symmetric3(x, y, z)
                     assert is_split_realizable(e1, e2, e3) == (z, y, x)
 
     def test_matches_multiset_search(self):
@@ -75,7 +75,7 @@ class TestSplitRealizability:
         for x in range(-14, 15):
             for y in range(x, 15):
                 for z in range(y, 15):
-                    expected[(x + y + z, x * y + y * z + z * x, x * y * z)] = (z, y, x)
+                    expected[oracle.symmetric3(x, y, z)] = (z, y, x)
         splittable = 0
         for c1 in range(-12, 13):
             for c2 in range(-30, 31):
@@ -105,8 +105,8 @@ class TestSplitRealizability:
         rng = random.Random(8)
         big = [tuple(rng.randint(-10**30, 10**30) for _ in range(3)) for _ in range(2000)]
         for roots in itertools.chain(itertools.product(range(-15, 16), repeat=3), big):
-            x, y, z = sorted(roots, reverse=True)
-            c1, c2, c3 = x + y + z, x * y + y * z + z * x, x * y * z
+            x, y, z = oracle.canonical(roots)
+            c1, c2, c3 = oracle.symmetric3(x, y, z)
             a, b = x - y, y - z
             disc = c1**2 * c2**2 - 4 * c2**3 - 4 * c1**3 * c3 + 18 * c1 * c2 * c3 - 27 * c3**2
             d = c1 * c1 - 3 * c2
@@ -120,7 +120,7 @@ class TestSplitRealizability:
         assert is_split_realizable(1024, -2093091, 675391266) == (2146, -561, -561)
         # O(r) + O(0) + O(0): gaps |r| and 0, in either order by the sign of r
         for r in range(-60, 61):
-            assert is_split_realizable(r, 0, 0) == tuple(sorted((r, 0, 0), reverse=True))
+            assert is_split_realizable(r, 0, 0) == oracle.canonical((r, 0, 0))
 
     def test_matches_max_coefficient_bisection(self):
         # oracle: the bisection up to max(|c1|, |c2|, |c3|), which bounds every
@@ -133,7 +133,7 @@ class TestSplitRealizability:
             if shape == 0:  # the benchmark's split cases: three twists
                 x, y = (rng.choice((-1, 1)) * rng.randint(50, 2000) for _ in range(2))
                 z = rng.choice((-1, 1)) * max(1, rng.randint(8 * 10**5, 12 * 10**5) // abs(x * y))
-                c = (x + y + z, x * y + y * z + z * x, x * y * z)
+                c = oracle.symmetric3(x, y, z)
             elif shape == 1:  # and its others: c3 and c1 + c2 odd, so no integer root
                 c1, c2 = rng.randint(-5000, 5000), rng.randint(-10**6, 10**6)
                 c3 = rng.choice((-1, 1)) * (rng.randint(10**5, 10**7) | 1)
@@ -141,7 +141,8 @@ class TestSplitRealizability:
             elif shape == 2:  # clustered roots, perturbed off a split class or not
                 r = rng.choice((-1, 1)) * rng.randint(0, 10**12)
                 x, y, z = (r + rng.randint(-3, 3) for _ in range(3))
-                c = (x + y + z, x * y + y * z + z * x, x * y * z + rng.choice((0, 0, 1, -1)))
+                c1, c2, c3 = oracle.symmetric3(x, y, z)
+                c = (c1, c2, c3 + rng.choice((0, 0, 1, -1)))
             else:  # c3 = 0: roots 0, r and s, or a quadratic with no integer root
                 r, s = (rng.randint(-10**9, 10**9) for _ in range(2))
                 c = (r + s, r * s + rng.choice((0, 0, 1, 2)), 0)
@@ -332,7 +333,7 @@ def _max_coefficient_split(c1, c2, c3):
     if disc < 0 or math.isqrt(disc) ** 2 != disc:
         return None
     s = math.isqrt(disc)
-    return tuple(sorted((lo, (-p + s) // 2, (-p - s) // 2), reverse=True))
+    return oracle.canonical((lo, (-p + s) // 2, (-p - s) // 2))
 
 
 def _strong_probable_prime(n, a):

@@ -183,4 +183,4 @@ def test_no_instance_dict_stores():
 def test_only_the_scan_cap_raises_consistency_error():
     # Checks that guard theorems live in the tests as proofs; the one library
     # source of exit 3 is a c3 spacing beyond the caller's scan window.
-    assert _package_scopes(_raises_consistency_error) == ["cohomology._require_within"]
+    assert _package_scopes(_raises_consistency_error) == ["cohomology.feasible_c3_lattice"]

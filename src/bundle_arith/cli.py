@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import acceptance, cohomology, diophantine, rank2, rank3
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -514,8 +514,6 @@ def _run(args) -> tuple[CommandResult, int]:
         payload, notes = args.handler(args)
     except DomainError as exc:
         return _error("domain_error", exc), EXIT_DOMAIN
-    except ConsistencyError as exc:
-        return _error("consistency_error", exc), EXIT_CONSISTENCY
     failed = args.command == "report" and not payload["all_passed"]
     return CommandResult("ok", payload, notes), EXIT_CONSISTENCY if failed else EXIT_OK
 

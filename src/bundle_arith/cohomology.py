@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .errors import ConsistencyError, DomainError, require_int
+from .errors import DomainError, require_int
 
 __all__ = [
     "MAX_DIM",
@@ -197,8 +197,8 @@ def feasible_c3_lattice(c1: int, c2: int, scan: int) -> int:
     |c1|, |c2| <= 40, which covers every residue pair mod 24
     (``test_lattice_spacing_is_d8_times_d3``).
     ``scan`` caps d: a spacing larger than ``scan`` means the window
-    |c3| <= scan holds no nonzero feasible value, and raises
-    :class:`ConsistencyError`.
+    |c3| <= scan holds no nonzero feasible value, so the window is bad
+    input and raises :class:`DomainError`.
     """
     require_int(scan, "scan bound", 1)
     if type(c1) is not int:  # require_int only words the error
@@ -212,7 +212,7 @@ def feasible_c3_lattice(c1: int, c2: int, scan: int) -> int:
         )
     d = (8 if c1 % 2 == 0 and c2 % 4 == 0 else 4) * (1 if c1 % 3 == c2 % 3 == 0 else 3)
     if d > scan:
-        raise ConsistencyError(
+        raise DomainError(
             f"only c3 = 0 is feasible for ({c1}, {c2}) within |c3| <= {scan}; "
             "the scan window is too small to see the lattice"
         )

@@ -19,9 +19,10 @@ def require_int(value: object, name: str, least: int | None = None) -> None:
 class ConsistencyError(BundleArithError, RuntimeError):
     """A computed result contradicts a structural expectation.
 
-    Raised when a scan or cross-check turns up data that should be
-    impossible; never swallowed, because downstream computations rely on
-    the structure that just failed.
+    The library raises it nowhere: every bad input is a
+    :class:`DomainError`, and checks that guard theorems live in the
+    tests as proofs.  It stays a public name, and names the CLI's exit 3,
+    which only a failing ``report`` returns.
     """
 
 

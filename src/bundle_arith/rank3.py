@@ -163,9 +163,9 @@ class GroupDescriptorV0:
     def __post_init__(self) -> None:
         require_int(self.base_c1, "base_c1")
         require_int(self.base_c2, "base_c2")
-        # d is one of 4, 8, 12, 24, so the cap of 120 never binds; the call
+        # d is one of 4, 8, 12, 24, so the cap of 24 never binds; the call
         # also checks that the base, and so the identity, is feasible
-        d = feasible_c3_lattice(self.base_c1, self.base_c2, 120)
+        d = feasible_c3_lattice(self.base_c1, self.base_c2, 24)
         object.__setattr__(self, "c3_generator", d)
         object.__setattr__(self, "identity", _class(self.base_c1, self.base_c2, 0))
 
@@ -178,14 +178,15 @@ class GroupDescriptorV0:
 def make_group(base_c1: int, base_c2: int, scan: int) -> GroupDescriptorV0:
     """Descriptor for the group over base (base_c1, base_c2), capped by ``scan``.
 
-    Rejects, in this order, a bad ``scan``, a base class that is not an
-    int, an infeasible base and a c3 spacing above ``scan``.  The
-    descriptor checks the base; :func:`feasible_c3_lattice` then applies
-    the cap, so the spacing is derived twice, once in each.
+    Rejects with :class:`DomainError`, in this order, a bad ``scan``, a
+    base class that is not an int, an infeasible base and a c3 spacing
+    above ``scan``.  The descriptor checks the base and derives the
+    spacing once; the cap is then checked against ``c3_generator``.
     """
     require_int(scan, "scan bound", 1)
     g = GroupDescriptorV0(base_c1, base_c2)
-    feasible_c3_lattice(base_c1, base_c2, scan)
+    if g.c3_generator > scan:
+        feasible_c3_lattice(base_c1, base_c2, scan)  # raises, with the cap's one message
     return g
 
 
@@ -227,12 +228,12 @@ def smallest_nonsplit_multiple(
 ) -> int | None:
     """Least 1 <= n <= bound whose n-fold sum of w is not a sum of line bundles.
 
-    None when every multiple within the bound splits, which is guaranteed
-    to persist forever when c3(w) = 0 and the base itself splits.
+    None when every multiple within the bound splits.  When c3(w) = 0
+    every multiple is w itself, so n = 1 decides whatever the bound.
     """
     require_int(bound, "bound", 1)
     _require_member(g, w)
-    for n in range(1, bound + 1):
+    for n in range(1, bound + 1 if w.c3 else 2):
         if is_split_realizable(g.base_c1, g.base_c2, n * w.c3) is None:
             return n
     return None

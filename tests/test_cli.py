@@ -14,7 +14,6 @@ import bundle_arith
 import oracle
 from bundle_arith.cli import (
     COMMANDS,
-    EXIT_CONSISTENCY,
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_USAGE,
@@ -251,14 +250,16 @@ class TestRank3Commands:
         )
         assert code == EXIT_DOMAIN
 
-    def test_scan_too_small_is_consistency_error(self, capsys):
+    def test_scan_too_small_is_domain_error(self, capsys):
+        # the window only caps the spacing: too small a one is bad input
         code, doc = run_json(
             capsys,
             "rank3", "index", "--base", "2", "0", "--scan", "20",
             "--class", "2", "0", "24",
         )
-        assert code == EXIT_CONSISTENCY
-        assert doc["status"] == "consistency_error"
+        assert code == EXIT_DOMAIN
+        assert doc["status"] == "domain_error"
+        assert doc["payload"]["kind"] == "DomainError"
 
 
 class TestQuadricCommands:
@@ -531,7 +532,7 @@ def test_cli_fuzz(capsys):
                 code = exc.code
             elapsed = time.perf_counter() - start
             out = capsys.readouterr().out
-            assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_CONSISTENCY, EXIT_USAGE), argv
+            assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE), argv
             if command == "agree":
                 # any non-empty sweep answers, however large
                 c1_min, c2_bound = int(argv[3]), int(argv[5])

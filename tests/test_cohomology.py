@@ -33,7 +33,7 @@ from bundle_arith.cohomology import (
     is_feasible,
     split_chern_vector,
 )
-from bundle_arith.errors import ConsistencyError, DomainError
+from bundle_arith.errors import DomainError
 from bundle_arith.rank3 import (
     KERNEL_Z3,
     GroupDescriptorV0,
@@ -82,12 +82,13 @@ def _old_feasible(rank, dim, c):
 # (mod 120), and the feasible c3 are exactly dZ with d = 120 / gcd(120,
 # 120 * chi(c1, c2, 1; t) for t = 0..2): one pass of integer Riemann-Roch,
 # run on the classes mod 120 since 120 * chi is an integer polynomial in them.
+# Its two messages are phrases of the library's, which tells the rejections apart.
 def _old_c3_lattice(c1, c2, scan):
     if not _old_feasible(3, 5, (c1, c2, 0)):
-        raise DomainError("base not feasible")
+        raise DomainError("is not feasible")
     d = 120 // math.gcd(120, *_old_chis(3, 5, (c1, c2, 1), range(3), 120))
     if d > scan:
-        raise ConsistencyError("spacing beyond the scan")
+        raise DomainError("the scan window is too small")
     return d
 
 
@@ -298,14 +299,14 @@ class TestFeasibility:
             c1, c2 = rng.randint(-bound, bound), rng.randint(-bound, bound)
             try:
                 expected = _old_c3_lattice(c1, c2, scan)
-            except (DomainError, ConsistencyError) as exc:
-                with pytest.raises(type(exc)):
+            except DomainError as exc:
+                with pytest.raises(DomainError, match=str(exc)):
                     feasible_c3_lattice(c1, c2, scan)
-                outcomes.add(type(exc))
+                outcomes.add(str(exc))
             else:
                 assert feasible_c3_lattice(c1, c2, scan) == expected
                 outcomes.add(expected)
-        assert outcomes >= {DomainError, ConsistencyError, 4, 8, 12, 24}
+        assert outcomes >= {"is not feasible", "the scan window is too small", 4, 8, 12, 24}
         _feasible.cache_clear()
 
     def test_twists_0_to_dim_minus_3_settle_every_twist(self):
@@ -407,27 +408,6 @@ class TestFeasibility:
 
 
 class TestC3Lattice:
-    def test_base_3_0(self):
-        # the closed-form spacing; every feasible value is a multiple of it
-        assert feasible_c3_lattice(3, 0, 20) == 4
-        feasible = [
-            k for k in range(-20, 21) if is_feasible(ChernVector(3, 5, (3, 0, k)))
-        ]
-        assert feasible == [k for k in range(-20, 21) if k % 4 == 0]
-
-    def test_base_0_0(self):
-        assert feasible_c3_lattice(0, 0, 12) == 8
-
-    def test_base_1_0(self):
-        assert feasible_c3_lattice(1, 0, 24) == 12
-
-    def test_spacing_divides_every_feasible_value(self):
-        d = feasible_c3_lattice(0, 3, 24)
-        assert d == 4
-        for k in range(-24, 25):
-            if is_feasible(ChernVector(3, 5, (0, 3, k))):
-                assert k % d == 0
-
     def test_infeasible_identity_rejected(self):
         with pytest.raises(DomainError):
             feasible_c3_lattice(3, 3, 12)
@@ -448,7 +428,7 @@ class TestC3Lattice:
                     if is_feasible(ChernVector(3, 5, (c1, c2, k)))
                 ]
                 assert feasible == [k for k in range(-24, 25) if k % d == 0]
-                with pytest.raises(ConsistencyError):
+                with pytest.raises(DomainError, match="scan window"):
                     feasible_c3_lattice(c1, c2, d - 1)
         assert bases == 117
         assert spacings == {4, 8, 12, 24}
@@ -470,7 +450,7 @@ class TestC3Lattice:
             spacings.add(d)
             window = [k for k in range(-24, 25) if oracle.feasible(3, 5, (c1, c2, k))]
             assert window == [k for k in range(-24, 25) if k % d == 0], (c1, c2)
-            with pytest.raises(ConsistencyError):
+            with pytest.raises(DomainError, match="scan window"):
                 feasible_c3_lattice(c1, c2, d - 1)
         assert spacings == {4, 8, 12, 24}
 
@@ -489,8 +469,8 @@ class TestC3Lattice:
             assert diff == 0, (c1, c2, t0)
 
     def test_scan_too_small_fails_loudly(self):
-        # base (2, 0) has spacing 24: a narrower window sees only c3 = 0
-        with pytest.raises(ConsistencyError):
+        # base (2, 0) has spacing 24: a narrower window sees only c3 = 0, and is bad input
+        with pytest.raises(DomainError, match="scan window is too small"):
             feasible_c3_lattice(2, 0, 20)
         assert feasible_c3_lattice(2, 0, 24) == 24
 

@@ -8,6 +8,8 @@ import time
 import pytest
 
 import oracle
+from bundle_arith import rank3
+from bundle_arith.cohomology import feasible_c3_lattice
 from bundle_arith.errors import DomainError
 from bundle_arith.rank3 import (
     _MR_BASES,
@@ -216,6 +218,20 @@ class TestMakeGroup:
         with pytest.raises(TypeError):
             GroupDescriptorV0(3, 0, 1)
 
+    def test_spacing_derived_once_per_group(self, monkeypatch):
+        # the descriptor derives d; make_group checks its scan against it
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return feasible_c3_lattice(*args)
+
+        monkeypatch.setattr(rank3, "feasible_c3_lattice", counted)
+        bases = ((3, 0, 24), (0, 0, 8), (1, 0, 12), (0, 3, 4), (2, 0, 24))
+        for base_c1, base_c2, scan in bases:
+            assert make_group(base_c1, base_c2, scan).c3_generator <= scan
+        assert len(calls) == len(bases)
+
 
 class TestGroupOperations:
     def test_identity_and_addition(self):
@@ -263,6 +279,14 @@ class TestNonSplitMultiples:
     def test_identity_over_split_base_stays_split(self):
         g = make_group(3, 0, 24)
         assert smallest_nonsplit_multiple(g, g.identity, 50) is None
+
+    def test_zero_c3_is_decided_by_its_first_multiple(self):
+        # every multiple of a class with c3 = 0 is the class itself
+        t0 = time.perf_counter()
+        for base, expected in (((3, 0), None), ((0, 0), None), ((1, 0), None), ((0, 3), 1)):
+            g = make_group(*base, 24)
+            assert smallest_nonsplit_multiple(g, g.identity, 10**12) == expected, base
+        assert time.perf_counter() - t0 < 1.0
 
     def test_prime_witness_example(self):
         g = make_group(3, 0, 24)

@@ -13,7 +13,7 @@ import re
 import shlex
 from pathlib import Path
 
-from bundle_arith import cohomology, diophantine, rank2
+from bundle_arith import cli, cohomology, diophantine, rank2
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -38,6 +38,13 @@ def _bench_examples():
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["README_EXAMPLES"]:
             return [row.elts[0].value for row in node.value.elts]
     raise AssertionError("bench/workloads.py defines no README_EXAMPLES")
+
+
+def _exit_codes(text):
+    """The (code, label) pairs of the "Exit codes:" sentence in ``text``, asides dropped."""
+    sentence = " ".join(text.split()).split("Exit codes: ", 1)[1].split(".", 1)[0]
+    pairs = re.sub(r" \([^)]*\)", "", sentence).split(", ")
+    return [(int(code), label) for code, label in (pair.split(" ", 1) for pair in pairs)]
 
 
 def _number(text):
@@ -70,6 +77,12 @@ def test_caps_in_prose_match_their_constants():
         assert getattr(MODULES[module], name) == value, name
     [cache] = re.findall(r"LRU cache of (\d+\^\d+) classes", prose)
     assert _number(cache) == cohomology._feasible.cache_info().maxsize == 2**15
+
+
+def test_exit_codes_match_the_cli():
+    expected = [(cli.EXIT_OK, "ok"), (cli.EXIT_DOMAIN, "domain error"),
+                (cli.EXIT_CONSISTENCY, "consistency error"), (cli.EXIT_USAGE, "usage error")]
+    assert _exit_codes(README) == _exit_codes(cli.__doc__) == expected
 
 
 def test_design_note_figures_name_their_bench_file():

@@ -180,7 +180,8 @@ def test_no_instance_dict_stores():
     assert _package_scopes(_is_dict_attribute) == []
 
 
-def test_only_the_scan_cap_raises_consistency_error():
-    # Checks that guard theorems live in the tests as proofs; the one library
-    # source of exit 3 is a c3 spacing beyond the caller's scan window.
-    assert _package_scopes(_raises_consistency_error) == ["cohomology.feasible_c3_lattice"]
+def test_no_scope_raises_consistency_error():
+    # Checks that guard theorems live in the tests as proofs, and every bad
+    # input is a DomainError: exit 3 is left to a failing report.
+    assert _scopes("def f():\n    raise ConsistencyError('x')\n", _raises_consistency_error) == [".f"]
+    assert _package_scopes(_raises_consistency_error) == []

@@ -3,7 +3,8 @@
 ``ChernVector``, ``Rank2BundleClass`` and ``Rank3BundleClass`` check their
 arguments before they store anything.  These tests pin what a caller sees:
 the rejections other than the integer rule (``tests/test_integer_rule.py``
-covers that), each with its exact message and in its order; keyword
+covers that), each with its exact message and in its order, and also
+``Provenance``'s one rejection; keyword
 construction; ``c`` stored as a tuple; re-validation by
 ``dataclasses.replace``; the generated ``==``, ``hash`` and ``repr``,
 with copying and pickling, also on the results the laws build without
@@ -13,11 +14,13 @@ the constructor; and the fields held in slots, with no instance dict.
 import copy
 import dataclasses
 import pickle
+from fractions import Fraction
 
 import pytest
 
 from bundle_arith import rank2, rank3
 from bundle_arith.cohomology import MAX_DIM, ChernVector
+from bundle_arith.diophantine import Provenance
 from bundle_arith.errors import DomainError
 from bundle_arith.rank2 import Rank2BundleClass
 from bundle_arith.rank3 import Rank3BundleClass
@@ -30,6 +33,8 @@ REJECTED = [
     (ChernVector, (1, MAX_DIM + 1, (0,)), f"dim must be at most {MAX_DIM}, got {MAX_DIM + 1}"),
     # the dimension is checked before the number of classes
     (ChernVector, (2, MAX_DIM + 1, (1,)), f"dim must be at most {MAX_DIM}, got {MAX_DIM + 1}"),
+    (ChernVector, (0, 3, ()), "rank must be a positive integer, got 0"),
+    (ChernVector, (1, 3, (Fraction(1, 2),)), "c must hold integer Chern classes, got (Fraction(1, 2),)"),
     (Rank2BundleClass, (1, 1), "(c1, c2) = (1, 1) is not realizable: c1*c2 must be even"),
     (Rank2BundleClass, (-3, 5), "(c1, c2) = (-3, 5) is not realizable: c1*c2 must be even"),
     # parity is checked before alpha
@@ -37,11 +42,17 @@ REJECTED = [
     (Rank2BundleClass, (0, 0, 2), "alpha in {0, 1} is required when c1 is even, got 2"),
     (Rank2BundleClass, (2, 3, -1), "alpha in {0, 1} is required when c1 is even, got -1"),
     (Rank2BundleClass, (0, 0), "alpha in {0, 1} is required when c1 is even, got None"),
-    (Rank2BundleClass, (0, 0, True), "alpha in {0, 1} is required when c1 is even, got True"),
+    # 0.0 == 0 and True == 1, but only the ints 0 and 1 are Z/2 values
+    *[(Rank2BundleClass, (c1, c2, alpha), f"alpha in {{0, 1}} is required when c1 is even, got {alpha}")
+      for alpha in (0.0, 1.0, False, True) for c1, c2 in ((0, 0), (-4, 3))],
     (Rank2BundleClass, (1, 0, 0), "alpha is not defined for odd c1 = 1"),
+    (Rank2BundleClass, (1, 2, 0), "alpha is not defined for odd c1 = 1"),
     (Rank2BundleClass, (-1, 4, 1), "alpha is not defined for odd c1 = -1"),
     (Rank3BundleClass, (0, 0, 1), f"(c1, c2, c3) = (0, 0, 1) {NOT_FEASIBLE}"),
     (Rank3BundleClass, (1, 1, 1), f"(c1, c2, c3) = (1, 1, 1) {NOT_FEASIBLE}"),
+    (Rank3BundleClass, (1, 0, 1), f"(c1, c2, c3) = (1, 0, 1) {NOT_FEASIBLE}"),  # off the 12Z lattice
+    (Rank3BundleClass, (3, 3, 0), f"(c1, c2, c3) = (3, 3, 0) {NOT_FEASIBLE}"),
+    (Provenance, ("nope",), "unknown provenance kind 'nope'"),
 ]
 
 

@@ -30,6 +30,7 @@ from bundle_arith.diophantine import (
     FAMILY2,
     MAX_PARAM_BOUND,
     MAX_SCAN_RADIUS,
+    CoverageReport,
     Provenance,
     QuadricSolution,
     brute_force_solutions,
@@ -398,6 +399,8 @@ class TestCoverage:
         # x^2 + y^2 + z^2 = 20000 has no solution with every |coordinate| <= 1
         with pytest.raises(DomainError, match="no solution"):
             coverage_check(100, 100, 1, 3)
+        # so no caller sees an empty report, whose match rate reads 1
+        assert CoverageReport((), ()).match_rate == 1
 
     def test_param_bound_cap(self):
         assert coverage_check(3, 0, 6, MAX_PARAM_BOUND).all_matched

@@ -1,14 +1,15 @@
 """One integer rule: every count, bound, twist and box is an int, never a bool.
 
 Each public entry point that takes such an argument (its rows derived
-from the signatures) rejects ``True`` and ``1.5`` with a DomainError
-naming the argument, and the package decides what an integer is with
-``type(x) is int``, never ``isinstance``.
+from the signatures) rejects ``True``, ``False``, ``1.5``, ``Fraction(1, 2)``
+and ``None`` with a DomainError naming the argument, and the package
+decides what an integer is with ``type(x) is int``, never ``isinstance``.
 """
 
 import ast
 import inspect
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -60,8 +61,10 @@ EXEMPT = {
 # Sequences of ints, one row for an element: (callable, parameter) -> {row id: (name, call)}
 ELEMENT_ROWS = {
     (cohomology.ChernVector, "c"): {"ChernVector-c": ("c", lambda x: cohomology.ChernVector(1, 3, (x,)))},
-    (cohomology.split_chern_vector, "twists"): {"split_chern_vector-twists[0]": (
-        "twists[0]", lambda x: cohomology.split_chern_vector(3, (x, 2)))},
+    (cohomology.split_chern_vector, "twists"): {
+        "split_chern_vector-twists[0]": ("twists[0]", lambda x: cohomology.split_chern_vector(3, (x, 2))),
+        "split_chern_vector-twists[1]": ("twists[1]", lambda x: cohomology.split_chern_vector(3, (2, x))),
+    },
 }
 
 
@@ -122,7 +125,8 @@ def test_every_int_parameter_has_a_row():
         _call(obj, args)
 
 
-@pytest.mark.parametrize("bad", [True, 1.5], ids=["bool", "float"])
+@pytest.mark.parametrize("bad", [True, False, 1.5, Fraction(1, 2), None],
+                         ids=["bool", "false", "float", "fraction", "none"])
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_entry_point_rejects_non_integers(entry, bad):
     name, call = ENTRY_POINTS[entry]

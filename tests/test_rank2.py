@@ -105,33 +105,6 @@ class TestSplitAndClassValidation:
         with pytest.raises(DomainError):
             Rank2BundleClass(1, 1)
 
-    def test_alpha_presence_follows_parity(self):
-        with pytest.raises(DomainError):
-            Rank2BundleClass(0, 0)  # even c1 needs alpha
-        with pytest.raises(DomainError):
-            Rank2BundleClass(1, 2, 0)  # odd c1 forbids alpha
-        with pytest.raises(DomainError):
-            Rank2BundleClass(0, 0, 2)  # alpha must be 0/1
-
-    def test_bool_classes_rejected(self):
-        # True == 1, but a Chern class is an int, not a bool
-        with pytest.raises(DomainError):
-            Rank2BundleClass(True, 2)
-        with pytest.raises(DomainError):
-            Rank2BundleClass(1, True)
-        with pytest.raises(DomainError):
-            GroupDescriptorA1(True)
-        with pytest.raises(DomainError):
-            GroupDescriptorA1(0, False)
-
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, True, False])
-    def test_alpha_must_be_an_int(self, alpha):
-        # 0.0 == 0 and True == 1, but only the ints 0 and 1 are Z/2 values
-        with pytest.raises(DomainError):
-            Rank2BundleClass(0, 0, alpha)
-        with pytest.raises(DomainError):
-            Rank2BundleClass(-4, 3, alpha)
-
 
 def _random_class(rng, a1, r):
     """A seeded class over a1: c2 from -r..r (doubled at odd a1), then alpha at even a1."""

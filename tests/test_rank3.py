@@ -42,12 +42,6 @@ class TestSplitRank3:
     def test_rho_is_only_a_marker(self):
         assert split_rank3(2, -1, 2).rho == RHO_UNTRACKED
 
-    def test_infeasible_chern_data_rejected(self):
-        with pytest.raises(DomainError):
-            Rank3BundleClass(1, 0, 1)  # off the (1,0) lattice
-        with pytest.raises(DomainError):
-            Rank3BundleClass(3, 3, 0)  # no rank-2 base with data (3,3) exists
-
     def test_bool_classes_rejected(self):
         # True == 1, but a Chern class is an int, not a bool
         with pytest.raises(DomainError):

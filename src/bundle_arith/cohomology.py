@@ -40,12 +40,12 @@ __all__ = [
     "feasible_c3_lattice",
 ]
 
-# Largest ambient dimension accepted.  The predicate works mod dim!, so
-# its cost is bounded whatever the class size.  On a 2-core x86 VM, at
-# dim 64 the plan takes 0.02 s to build once (1.6 s at dim 256), then a
-# cold `is_feasible` takes 3 ms at most.  The exact chi that `feasible`
-# prints grows with the classes: with 4000-digit classes at dim 64 it
-# exits 2 in 0.4 s at rank 1, 1.0 s at rank 3 and 5-8 s at rank 64.
+# Largest ambient dimension accepted.  The predicate works mod dim!, so its cost is
+# bounded whatever the class size.  On a shared 2-core x86 VM (Python 3.11.7), at dim 64
+# the plan takes 0.012 s to build once (1.0-1.1 s at dim 256), then a cold `is_feasible`
+# takes 2.2 ms at most.  The exact chi that `feasible` prints grows with the classes: with
+# 4000-digit classes at dim 64 a fresh process exits 2 in 0.26-0.28 s at rank 1,
+# 0.59-0.62 s at rank 3 and 3.7-4.5 s at rank 64 (three runs each).
 MAX_DIM = 64
 
 
@@ -188,14 +188,14 @@ def is_feasible(v: ChernVector) -> bool:
 def feasible_c3_lattice(c1: int, c2: int, scan: int) -> int:
     """Spacing d of the feasible c3 values over (c1, c2) for rank 3 on CP^5.
 
-    Requires the identity data (c1, c2, 0) to be feasible.  The feasible
-    c3 are exactly dZ with d = d8 * d3: d8 = 8 when c1 is even and 4
-    divides c2, else 4, and d3 = 1 when (c1, c2) = (0, 0) mod 3, else 3.
-    The tests prove it: d depends only on (c1, c2) mod 24
-    (``test_period_24_by_finite_differences``), and the closed form
-    matches a pass of integer Riemann-Roch on every feasible base with
-    |c1|, |c2| <= 40, which covers every residue pair mod 24
-    (``test_lattice_spacing_is_d8_times_d3``).
+    Requires the identity data (c1, c2, 0) to be feasible: with r1, r2 =
+    c1, c2 mod 12, exactly when r2 (r2 + 1 - r1) = 0 mod 4 and r2 (r2 + 1
+    + r1^2) = 0 mod 3.  The feasible c3 are then dZ with d = d8 * d3: d8 =
+    8 when c1 is even and 4 divides c2, else 4, and d3 = 1 when (c1, c2) =
+    (0, 0) mod 3, else 3.  Proof: feasibility and d read only (c1, c2) mod
+    24 (``test_period_24_by_finite_differences``), and the rules match
+    integer Riemann-Roch on every base with |c1|, |c2| <= 40, every
+    residue pair mod 24 (``test_lattice_spacing_is_d8_times_d3``).
     ``scan`` caps d: a spacing larger than ``scan`` means the window
     |c3| <= scan holds no nonzero feasible value, so the window is bad
     input and raises :class:`DomainError`.
@@ -205,12 +205,12 @@ def feasible_c3_lattice(c1: int, c2: int, scan: int) -> int:
         require_int(c1, "c1")
     if type(c2) is not int:
         require_int(c2, "c2")
-    base = ChernVector(3, 5, (c1, c2, 0))
-    if not is_feasible(base):
+    r1, r2 = c1 % 12, c2 % 12  # both rules read only these residues
+    if r2 * (r2 + 1 - r1) % 4 or r2 * (r2 + 1 + r1 * r1) % 3:
         raise DomainError(
             f"identity Chern data ({c1}, {c2}, 0) is not feasible on CP^5"
         )
-    d = (8 if c1 % 2 == 0 and c2 % 4 == 0 else 4) * (1 if c1 % 3 == c2 % 3 == 0 else 3)
+    d = (8 if r1 % 2 == 0 and r2 % 4 == 0 else 4) * (1 if r1 % 3 == r2 % 3 == 0 else 3)
     if d > scan:
         raise DomainError(
             f"only c3 = 0 is feasible for ({c1}, {c2}) within |c3| <= {scan}; "

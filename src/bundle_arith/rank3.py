@@ -148,8 +148,8 @@ class GroupDescriptorV0:
     """Group of rank-3 classes over a rank-2 base with Chern data (base_c1, base_c2).
 
     The group is determined by its base.  ``c3_generator``, the spacing d
-    of the feasible c3 lattice, is derived from the base by the closed
-    form of :func:`feasible_c3_lattice`, which also rejects an infeasible
+    of the feasible c3 lattice, is derived from the base by the mod-12
+    rules of :func:`feasible_c3_lattice`, which also reject an infeasible
     base; the identity (base_c1, base_c2, 0) is built once, as
     ``identity``.  ``kernel_kind`` is the kernel of the c3 homomorphism,
     read off the spacing: Z/3 exactly when its 3-part d3 is 1.

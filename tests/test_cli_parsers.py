@@ -37,27 +37,13 @@ def test_golden_help_and_usage(capsys, monkeypatch, case):
     assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
 
 
-# One invocation per command path: 9 top-level commands, 5 rank3, 4 quadric
-EVERY_COMMAND = (
-    "feasible 2 3 1 2",
-    "count-rank2 1 1",
-    "alpha --split 2 -2",
-    "add-rank2 --a1 0 --v 0 -1 0 --w 0 -4 1",
-    "horrocks --v -4 0 1 --w -4 0 1",
-    "agree --c1-min -4 --c2-bound 2",
-    "tensor --v 2 3 0 --k 1",
-    "generate --c1-min -2 --c1-max 0 --c2-bound 2",
-    "report --only alpha-case-table",
-    "rank3 add --base 3 0 --v 3 0 -4 --w 3 0 8",
-    "rank3 iterate --base 3 0 --w 3 0 -4 --n 5",
-    "rank3 index --base 3 0 --class 3 0 -4",
-    "rank3 split --class 3 0 -8",
-    "rank3 prime-witness --base 3 0 --w 3 0 -4",
-    "quadric solve 3 0 --box 6",
-    "quadric param1 1 0 1 1",
-    "quadric param2 1 2",
-    "quadric cover 3 0 --box 6 --param-bound 12",
-)
+# One invocation per command path, its first exit-0 golden case:
+# 9 top-level commands, 5 rank3, 4 quadric
+EVERY_COMMAND = [
+    next(argv for argv, case in GOLDEN_CLI.items()
+         if case["exit"] == EXIT_OK and tuple(argv.split()[:len(path)]) == path)
+    for path, _, handler, _ in COMMANDS if handler is not None
+]
 
 
 @pytest.mark.parametrize("line", EVERY_COMMAND)
@@ -75,14 +61,6 @@ def test_each_call_builds_only_its_own_parsers(capsys, monkeypatch, line):
     capsys.readouterr()
     # the top-level parser, then one per word of the command path
     assert len(built) == (3 if argv[0] in ("rank3", "quadric") else 2), built
-
-
-def test_every_command_covers_the_table():
-    leaves = {path for path, _, handler, _ in COMMANDS if handler is not None}
-    covered = {path for path in leaves for line in EVERY_COMMAND
-               if tuple(line.split()[:len(path)]) == path}
-    assert covered == leaves
-    assert len(EVERY_COMMAND) == len(leaves)
 
 
 def test_a_built_parser_parses_again():

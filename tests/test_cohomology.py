@@ -91,6 +91,18 @@ def _old_c3_lattice(c1, c2, scan):
     return d
 
 
+def _old_lattice_outcome(c1, c2, scan):
+    """_old_c3_lattice's spacing or message, checked against feasible_c3_lattice."""
+    try:
+        expected = _old_c3_lattice(c1, c2, scan)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=str(exc)):
+            feasible_c3_lattice(c1, c2, scan)
+        return str(exc)
+    assert feasible_c3_lattice(c1, c2, scan) == expected
+    return expected
+
+
 class TestToddClass:
     def test_line(self):
         assert oracle.todd_coefficients(1) == (1, 1)
@@ -296,15 +308,7 @@ class TestFeasibility:
         for _ in range(300):
             bound, scan = rng.choice((3, 10**6, 10**30)), rng.choice((1, 4, 24))
             c1, c2 = rng.randint(-bound, bound), rng.randint(-bound, bound)
-            try:
-                expected = _old_c3_lattice(c1, c2, scan)
-            except DomainError as exc:
-                with pytest.raises(DomainError, match=str(exc)):
-                    feasible_c3_lattice(c1, c2, scan)
-                outcomes.add(str(exc))
-            else:
-                assert feasible_c3_lattice(c1, c2, scan) == expected
-                outcomes.add(expected)
+            outcomes.add(_old_lattice_outcome(c1, c2, scan))
         assert outcomes >= {"is not feasible", "the scan window is too small", 4, 8, 12, 24}
         _feasible.cache_clear()
 
@@ -351,8 +355,9 @@ class TestFeasibility:
                 assert is_feasible(v), v
 
     def test_predicate_and_lattice_read_only_their_proven_twists(self, monkeypatch):
-        # the predicate reads dim - 2 twists and the c3 lattice only its base
-        # check, no more: every twist t in 0..dim is a read of row t of the plan
+        # the predicate reads dim - 2 twists and the c3 lattice none, as its
+        # base check is a residue rule: every twist t in 0..dim is a read of
+        # row t of the plan
         read = []
         real = cohomology._plan
 
@@ -372,10 +377,11 @@ class TestFeasibility:
         read.clear()
         assert is_feasible(ChernVector(3, 5, (3, 0, -4)))
         assert read == [0, 1, 2]
-        _feasible.cache_clear()
         read.clear()
+        cached = _feasible.cache_info().currsize
         assert feasible_c3_lattice(3, 0, 24) == 4
-        assert read == [0, 1, 2]  # the base check, and no Riemann-Roch pass
+        assert read == []  # no Riemann-Roch pass, not even for the base
+        assert _feasible.cache_info().currsize == cached
         _feasible.cache_clear()
 
     def test_predicate_cache_is_bounded(self):
@@ -473,6 +479,16 @@ class TestC3Lattice:
             feasible_c3_lattice(2, 0, 20)
         assert feasible_c3_lattice(2, 0, 24) == 24
 
+    def test_huge_bases_match_riemann_roch(self):
+        # the residue rules on 4299-digit bases, one per residue pair mod 12,
+        # against the mod-120 Riemann-Roch pass they replaced
+        low = -(10**4299 - 1)
+        outcomes = {
+            _old_lattice_outcome(low + i, low + j, 24)
+            for i, j in itertools.product(range(12), repeat=2)
+        }
+        assert outcomes == {"is not feasible", 4, 8, 12, 24}
+
 
 class TestRank2Law:
     """Rank-2 feasibility on CP^3 has period 2, so it is the parity rule."""
@@ -569,13 +585,17 @@ class TestRank3Law:
         # Over a feasible base the c3 lattice is dZ with d = d8 * d3: d8 = 8
         # when the mod-8 table allows only c3 = 0 mod 8, else 4; d3 = 1 when
         # (c1, c2) = (0, 0) mod 3, else 3.  The kernel is Z/3 iff d3 = 1.
-        # d depends only on (c1, c2) mod 24 (test_period_24_by_finite_differences)
-        # and the sweep covers every residue pair, so the closed form of
-        # feasible_c3_lattice agreeing with the Riemann-Roch pass here proves it.
+        # The base check is a residue rule mod 12 (feasible_c3_lattice).
+        # Feasibility and d depend only on (c1, c2) mod 24
+        # (test_period_24_by_finite_differences) and the sweep covers every
+        # residue pair, so feasible_c3_lattice agreeing with integer
+        # Riemann-Roch here, on every base, proves both rules.
         bases = 0
         for c1 in range(-40, 41):
             for c2 in range(-40, 41):
                 if not is_feasible(ChernVector(3, 5, (c1, c2, 0))):
+                    with pytest.raises(DomainError, match="is not feasible"):
+                        feasible_c3_lattice(c1, c2, 24)
                     continue
                 bases += 1
                 d8 = 8 if self._mod_8_entry(c1, c2) == {0} else 4

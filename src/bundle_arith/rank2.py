@@ -58,8 +58,8 @@ __all__ = [
     "MAX_SEARCH_EXTENT",
 ]
 
-# Cap with its worst-case time on a 2-core x86 VM.
-MAX_SEARCH_EXTENT = 66  # max|c1| + c2 bound of generation_closure's search box: 0.18 s
+# Cap with its worst-case time on a 2-core x86 VM, in a fresh process (BENCH_38.json).
+MAX_SEARCH_EXTENT = 66  # max|c1| + c2 bound of generation_closure's search box: 0.07 s
 
 
 def epsilon(a: int) -> int:
@@ -386,7 +386,9 @@ def generation_closure(
     horrocks_sum (pairs sharing a non-positive c1).  A cheapest witness
     expression, counted in operations applied to splits, is recorded for
     each reached class by a uniform-cost search, one cost level at a time.
-    A search box with max |c1| + c2 bound above :data:`MAX_SEARCH_EXTENT`
+    Each row finds its Horrocks partners by bitmask, and only the cheapest
+    members of a twist orbit run the twist loop (README, design notes).  A
+    search box with max |c1| + c2 bound above :data:`MAX_SEARCH_EXTENT`
     raises :class:`DomainError`.
     """
     s1min, s1max, s2 = search_c1_min, search_c1_max, search_c2_bound
@@ -420,16 +422,23 @@ def generation_closure(
                 code = 2 * cls.c2 + (cls.alpha or 0)
                 best[cls.c1][code] = (0, f"split({x},{y})")
                 levels[0].append((cls.c1, code))
-    # Per row c1 <= 0, by code: settled peers and unsettled targets
-    peers_by_c1 = {c1: {} for c1 in range(s1min, min(s1max, 0) + 1)}
-    open_by_c1 = {c1: {2 * c2 + a for c2 in range(-s2, s2 + 1) if c1 * c2 % 2 == 0
-                       for a in ((0,) if c1 % 2 else (0, 1))} for c1 in peers_by_c1}
-
+    # Codes as int bitmasks, bit code + off: soon marks the codes whose pending
+    # offer costs at most the level + 1, and rows c1 <= 0 keep their open codes
+    # and their settled codes by level, plain and with the alpha bits swapped.
+    off = 2 * s2
+    rows = range(s1min, min(s1max, 0) + 1)
+    open_by_c1 = {c1: sum(1 << (2 * c2 + a + off) for c2 in range(-s2, s2 + 1) if c1 * c2 % 2 == 0
+                          for a in ((0,) if c1 % 2 else (0, 1))) for c1 in rows}
+    settled_by_c1 = {c1: ({}, {}) for c1 in rows}
+    soon = dict.fromkeys(best, 0)
+    orbit_cost: dict[tuple[int, int], int] = {}  # twist orbit (c1^2 - 4 c2, alpha): least cost
     # The keep rule (cheaper, or as cheap with a smaller witness) is written
     # out in both loops below: against the tuple-keyed search, one shared
     # helper ran the doubled box 1.30x as fast, inlined 1.46-1.50x.
     cost = 0
     while levels:
+        for c1, code in levels.get(cost + 1, ()):
+            soon[c1] |= 1 << (code + off)
         for c1, code in levels.pop(cost, ()):
             here = best[c1]
             found = here[code]
@@ -438,37 +447,48 @@ def generation_closure(
             c2, bit = code >> 1, code & 1
             expr = found[1]
             step = cost + 1
-            for k in range(-((c1 - s1min) // 2), (s1max - c1) // 2 + 1):
-                t1, t2 = _twist(c1, c2, k)
-                if k and abs(t2) <= s2:
-                    there, t = best[t1], 2 * t2 + bit  # a twist keeps alpha
-                    pending = there.get(t)
-                    if pending is None or step < pending[0]:
-                        there[t] = (step, f"tensor({expr}, {k})")
-                        levels.setdefault(step, []).append((t1, t))
-                    elif step == pending[0] and (w := f"tensor({expr}, {k})") < pending[1]:
-                        there[t] = (step, w)
+            # a dearer member of the orbit offers the same twists at a dearer cost
+            if orbit_cost.setdefault((c1 * c1 - 4 * c2, bit), cost) == cost:
+                for k in range(-((c1 - s1min) // 2), (s1max - c1) // 2 + 1):
+                    t1, t2 = _twist(c1, c2, k)
+                    if k and abs(t2) <= s2:
+                        there, t = best[t1], 2 * t2 + bit  # a twist keeps alpha
+                        pending = there.get(t)
+                        if pending is None or step < pending[0]:
+                            there[t] = (step, f"tensor({expr}, {k})")
+                            levels.setdefault(step, []).append((t1, t))
+                            soon[t1] |= 1 << (t + off)
+                        elif step == pending[0] and (w := f"tensor({expr}, {k})") < pending[1]:
+                            there[t] = (step, w)
             if c1 <= 0:
-                peers, row = peers_by_c1[c1], open_by_c1[c1]
-                peers[code] = found
-                row.discard(code)
-                # target t's partner: c2 = t's c2 - c2, alpha = t's alpha + alpha + epsilon(c1)
+                plain, swapped = settled_by_c1[c1]
+                plain[cost] = plain.get(cost, 0) | 1 << (code + off)
+                swapped[cost] = swapped.get(cost, 0) | 1 << ((code + off) ^ 1)
+                row = open_by_c1[c1] = open_by_c1[c1] & ~(1 << (code + off))
+                # partner q sums to target (q xor flip) + 2 c2, flip = alpha + epsilon(c1)
                 shift, flip = code - bit, 0 if c1 % 2 else bit ^ epsilon(c1)
-                for t in row:
-                    other = peers.get((t - shift) ^ flip)
-                    if other is None:
-                        continue
-                    new_cost = step + other[0]
-                    pending = here.get(t)
-                    if pending is not None and pending[0] < new_cost:
-                        continue  # a costlier offer cannot win: no witness built
-                    lo, hi = (expr, other[1]) if expr < other[1] else (other[1], expr)
-                    w = f"horrocks({lo}, {hi})"
-                    if pending is None or new_cost < pending[0]:
-                        here[t] = (new_cost, w)
-                        levels.setdefault(new_cost, []).append((c1, t))
-                    elif w < pending[1]:
-                        here[t] = (new_cost, w)
+                for level, peers in (swapped if flip else plain).items():
+                    targets = (peers << shift if shift >= 0 else peers >> -shift) & row
+                    if level:  # costs cost + 2 or more: soon's targets cannot win
+                        targets &= ~soon[c1]
+                    new_cost = step + level
+                    while targets:
+                        low = targets & -targets
+                        targets ^= low
+                        t = low.bit_length() - 1 - off
+                        pending = here.get(t)
+                        if pending is not None and pending[0] < new_cost:
+                            continue  # a costlier offer cannot win: no witness built
+                        other = here[(t - shift) ^ flip][1]
+                        lo, hi = (expr, other) if expr < other else (other, expr)
+                        w = f"horrocks({lo}, {hi})"
+                        if pending is None or new_cost < pending[0]:
+                            here[t] = (new_cost, w)
+                            levels.setdefault(new_cost, []).append((c1, t))
+                            if not level:
+                                soon[c1] |= low
+                        elif w < pending[1]:
+                            here[t] = (new_cost, w)
         cost += 1
 
     reached = []

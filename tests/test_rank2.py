@@ -8,6 +8,7 @@ check: ``alpha_balanced`` for the alpha rule; ``split2``, ``twist2``,
 
 import hashlib
 import heapq
+import itertools
 import math
 import random
 import time
@@ -391,6 +392,16 @@ class TestTensorLine:
             for k in range(-4, 5):
                 assert tensor_line(tensor_line(v, j), k) == tensor_line(v, j + k)
 
+    def test_twist_keeps_discriminant_and_composes_on_a_grid(self):
+        # Each side is a polynomial of degree <= 2 in every variable, so three
+        # points per axis prove both identities for all integers (Alon 1999,
+        # Lemma 2.1); the fourth point is a spare.  The closure keys its twist
+        # orbits by (c1^2 - 4 c2, alpha) on the strength of this.
+        for c1, c2, j, k in itertools.product(range(4), repeat=4):
+            t1, t2 = rank2._twist(c1, c2, j)
+            assert t1 * t1 - 4 * t2 == c1 * c1 - 4 * c2
+            assert rank2._twist(t1, t2, k) == rank2._twist(c1, c2, j + k)
+
     def test_alpha_preserved_under_normalization(self):
         assert split_rank2(3, -1).alpha == 1
         assert tensor_line(split_rank2(3, -1), -1) == split_rank2(2, -2)
@@ -584,6 +595,36 @@ def test_doubled_box_witnesses_evaluate_to_their_classes():
         assert oracle.evaluate_witness(r.witness) == (cls, r.cost), r.witness
 
 
+def test_twist_loops_run_once_per_orbit_level(monkeypatch):
+    # Only the cheapest members of a twist orbit run the twist loop: a dearer
+    # member's offers reach the same classes one step dearer.  Every search
+    # state is reached here, so the report gives the count: 11,887 calls,
+    # against 26,722 with a twist loop for every state.
+    calls = 0
+    twist = rank2._twist
+
+    def counting_twist(*args):
+        nonlocal calls
+        calls += 1
+        return twist(*args)
+
+    monkeypatch.setattr(rank2, "_twist", counting_twist)
+    s1min, s1max = -24, 0
+    report = generation_closure(-24, 0, 32, s1min, s1max, 32)
+
+    def orbit(r):
+        return r.cls.c1 * r.cls.c1 - 4 * r.cls.c2, r.cls.alpha or 0
+
+    least = {}
+    for r in report.reached:
+        least[orbit(r)] = min(least.get(orbit(r), r.cost), r.cost)
+    assert calls == sum(
+        (s1max - r.cls.c1) // 2 + (r.cls.c1 - s1min) // 2 + 1
+        for r in report.reached
+        if r.cost == least[orbit(r)]
+    )
+
+
 # Cap-sized search boxes, too slow for the object oracle in tier-1 (1.2-1.4 s
 # on the first): the SHA-256 of the report's repr and its states count, as the
 # heap-ordered search and the object oracle both compute them.
@@ -592,6 +633,8 @@ CAP_SHAPES = [
      "7f07a862ef40ac8e44efd3f3d5c4dc6616649e2cbffe49d03b81613c28be7735"),
     ((-33, 0, 33, -33, 0, 33), 2823,
      "a3a2fdd30eb4d0ba69ebb7b5d58e727557cdff6e1e2631cbc9f62f05b2e8c024"),
+    ((-30, 30, 36, -30, 30, 36), 5636,
+     "c48d0dad932b462d096b46ab714baa9083a6b292f9b09534c43eeea2f0507669"),
 ]
 
 

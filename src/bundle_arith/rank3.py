@@ -243,25 +243,50 @@ def smallest_nonsplit_multiple(
 # of them for k = 1..13 (Jaeschke, "On strong pseudoprimes to several bases",
 # Math. Comp. 61, 1993; Sorenson and Webster, "Strong pseudoprimes to twelve
 # prime bases", Math. Comp. 86, 2017).  Below psi_k the first k bases decide
-# primality; psi_13 is _PRIMALITY_BOUND.
+# primality; psi_13 is _PRIMALITY_BOUND.  The primes below _TRIAL_BOUND are
+# sieved once, and one gcd with their product stands in for trial division
+# by them; that alone decides every n below _TRIAL_BOUND^2.  The bound was
+# chosen by the sweep over 256, 512, 1000 and 2048 in BENCH_39.json.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_PRODUCT = math.prod(_MR_BASES)
 _PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
                  341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
                  3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
 _PRIMALITY_BOUND = _PSEUDOPRIMES[-1]
+_TRIAL_BOUND = 1000
+
+
+def _primes_below(n: int) -> list[int]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = bytes(2)
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return [p for p in range(n) if sieve[p]]
+
+
+_SMALL_PRIMES = frozenset(_primes_below(_TRIAL_BOUND))
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for n < _PRIMALITY_BOUND.
+    """Deterministic primality test for n < _PRIMALITY_BOUND.
 
-    One gcd stands in for trial division by the bases; Miller-Rabin then
-    runs the first k of them, for the least k with n < psi_k.
+    One gcd with the product of the primes below _TRIAL_BOUND stands in
+    for trial division by them.  An n coprime to it has no prime factor
+    below the bound, so below _TRIAL_BOUND^2 it is prime: a composite
+    would have one under its square root.  From there up, Miller-Rabin
+    decides.
     """
     if n < 2:
         return False
-    if math.gcd(n, _MR_PRODUCT) != 1:
-        return n in _MR_BASES
+    if math.gcd(n, _SMALL_PRODUCT) != 1:
+        return n in _SMALL_PRIMES
+    return n < _TRIAL_BOUND * _TRIAL_BOUND or _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
+    """Miller-Rabin to the first k bases, for the least k with n < psi_k; n is odd and > 41."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

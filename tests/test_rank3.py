@@ -15,6 +15,8 @@ from bundle_arith.rank3 import (
     _MR_BASES,
     _PRIMALITY_BOUND,
     _PSEUDOPRIMES,
+    _SMALL_PRIMES,
+    _TRIAL_BOUND,
     _is_prime,
     _next_prime,
     KERNEL_TRIVIAL,
@@ -306,6 +308,25 @@ class TestNonSplitMultiples:
         with pytest.raises(DomainError):
             prime_witness(g, g.identity)
 
+    def test_witness_primes_below_trial_bound_squared_skip_miller_rabin(self, monkeypatch):
+        # every candidate below _TRIAL_BOUND^2 is decided by the gcd alone
+        calls = 0
+        miller_rabin = rank3._miller_rabin
+
+        def counting_miller_rabin(n):
+            nonlocal calls
+            calls += 1
+            return miller_rabin(n)
+
+        monkeypatch.setattr(rank3, "_miller_rabin", counting_miller_rabin)
+        g = make_group(3, 0, 24)
+        assert prime_witness(g, split_rank3(2, -1, 2)) == (13, True)
+        assert prime_witness(g, Rank3BundleClass(3, 0, 10**5)) == (300007, True)
+        assert prime_witness(g, Rank3BundleClass(3, 0, -(10**5))) == (300007, True)
+        assert calls == 0
+        assert prime_witness(g, Rank3BundleClass(3, 0, 4 * 10**6)) == (12000017, True)
+        assert calls >= 1
+
     def test_finite_index_whenever_c3_nonzero(self):
         rng = random.Random(41)
         g = make_group(3, 0, 24)
@@ -416,6 +437,26 @@ class TestPrimality:
         windows = [m for n in _PSEUDOPRIMES if n < 10**12 for m in range(n - 500, n + 501)]
         for n in draws + windows:
             assert _next_prime(n) == oracle.next_prime(n), n
+
+    def test_trial_bound_is_exact(self):
+        def trial(n):
+            return n >= 2 and all(n % i for i in range(2, math.isqrt(n) + 1))
+
+        t0 = time.perf_counter()
+        b = _TRIAL_BOUND
+        assert _SMALL_PRIMES == {n for n in range(b) if trial(n)}
+        # q^2, for the least prime q >= b, is the least composite coprime to
+        # every small prime: the gcd lets it through, Miller-Rabin rejects it
+        q = next(n for n in itertools.count(b) if trial(n))
+        for p in _SMALL_PRIMES:
+            assert not _is_prime(p * p) and not _is_prime(p * q), p
+        assert not _is_prime(q * q)
+        # around b^2, where Miller-Rabin takes over from the gcd: trial
+        # division by the primes up to the window's square root
+        divisors = [n for n in range(2, math.isqrt(b * b + 2000) + 1) if trial(n)]
+        for n in range(b * b - 2000, b * b + 2001):
+            assert _is_prime(n) == all(n % p for p in divisors), n
+        assert time.perf_counter() - t0 < 0.1
 
 
 class TestSubgroupIndex:

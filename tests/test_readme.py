@@ -1,10 +1,11 @@
 """Facts the README states that have a single source elsewhere.
 
 The README's CLI examples are also the first golden CLI cases and the
-examples ``bench/workloads.py`` runs; the caps its prose names are
-constants of the package; the times and rates its design notes quote
-come from a committed ``BENCH_<n>.json``.  Each copy is checked against
-its source, so an edit to one side fails here instead of drifting.
+examples ``bench/workloads.py`` runs; the caps and the trial bound its
+prose names are constants of the package; the times and rates its
+design notes quote come from a committed ``BENCH_<n>.json``.  Each copy
+is checked against its source, so an edit to one side fails here
+instead of drifting.
 """
 
 import ast
@@ -13,7 +14,7 @@ import re
 import shlex
 from pathlib import Path
 
-from bundle_arith import cli, cohomology, diophantine, rank2
+from bundle_arith import cli, cohomology, diophantine, rank2, rank3
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -77,6 +78,12 @@ def test_caps_in_prose_match_their_constants():
         assert getattr(MODULES[module], name) == value, name
     [cache] = re.findall(r"LRU cache of (\d+\^\d+) classes", prose)
     assert _number(cache) == cohomology._feasible.cache_info().maxsize == 2**15
+
+
+def test_trial_bound_in_prose_matches_its_constant():
+    prose = " ".join(README.split())
+    [bound] = re.findall(r"`rank3\._TRIAL_BOUND` = (\d+(?:\^\d+)?)", prose)
+    assert _number(bound) == rank3._TRIAL_BOUND == 1000
 
 
 def test_exit_codes_match_the_cli():

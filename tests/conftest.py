@@ -31,3 +31,17 @@ def time_limit(request):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def record_calls(monkeypatch):
+    """Wrap ``module.name`` for the test; the list it returns gets each call's (args, kwargs)."""
+    def wrap(module, name):
+        calls, original = [], getattr(module, name)
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, recording)
+        return calls
+    return wrap

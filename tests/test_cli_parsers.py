@@ -47,20 +47,13 @@ EVERY_COMMAND = [
 
 
 @pytest.mark.parametrize("line", EVERY_COMMAND)
-def test_each_call_builds_only_its_own_parsers(capsys, monkeypatch, line):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+def test_each_call_builds_only_its_own_parsers(capsys, record_calls, line):
+    built = record_calls(argparse.ArgumentParser, "__init__")
     argv = line.split()
     assert main(["--json", *argv]) == EXIT_OK
     capsys.readouterr()
     # the top-level parser, then one per word of the command path
-    assert len(built) == (3 if argv[0] in ("rank3", "quadric") else 2), built
+    assert len(built) == (3 if argv[0] in ("rank3", "quadric") else 2), [kw.get("prog") for _, kw in built]
 
 
 def test_a_built_parser_parses_again():

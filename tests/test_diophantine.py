@@ -201,6 +201,21 @@ class TestParamFamily1:
         s = param_family1(1, 0, 0, 1)
         assert (s.x, s.y, s.z, s.a, s.b) == (0, 0, 1, 1, 0)
 
+    def test_family1_point_identities_on_a_grid(self):
+        # Scaled coordinates have degree <= 2 per variable, so {0..3}^4 proves
+        # these relations for all integers with a spare point per axis, and
+        # {0..4}^4 the equations, of degree <= 4 (Alon 1999, Lemma 2.1).  So a
+        # coverage preimage's point is its solution, with z = c + d; at u = 0
+        # it is (w v (v - l), 0, 0) over (w v (v - l), 0).
+        for u, v, l, w in product(range(4), repeat=4):
+            x, y, z, a, b = (w * t for t in diophantine._family1_point(u, v, l))
+            assert (a - x, b, b - y, z, x) == (
+                w * u * u, w * u * l, w * u * v, (a - x) + (b - y), w * v * (v + u - l)
+            ), (u, v, l, w)
+        for u, v, l, w in product(range(5), repeat=4):
+            x, y, z, a, b = (w * t for t in diophantine._family1_point(u, v, l))
+            assert x + y + z == a + b and x * y + y * z + z * x == a * b, (u, v, l, w)
+
     def test_equations_hold_identically(self):
         # construction re-checks both symmetric equations for every tuple
         for u, v, l, w in product(range(-10, 11), repeat=4):
@@ -368,25 +383,20 @@ class TestCoverage:
         assert solvable == 1469 + 2 + 8 + 2
         assert u_zero_generators  # some generators come from the u = 0 divisor branch
 
-    def test_family1_points_scale_with_solutions(self, monkeypatch):
-        # the inversion confirms preimages, never points of a parameter scan
-        calls = 0
-        point = diophantine._family1_point
-
-        def counting_point(*args):
-            nonlocal calls
-            calls += 1
-            return point(*args)
-
-        monkeypatch.setattr(diophantine, "_family1_point", counting_point)
-        for a, b, box in ((-34, -25, 40), (0, -31, 40), (3, 0, 6)):
-            counts = []
+    def test_preimages_scale_with_solutions(self, record_calls):
+        # the inversion yields a few preimages per solution, the same at either
+        # bound, and evaluates no family-1 point: the grid test in
+        # TestParamFamily1 proves every preimage's point is its solution
+        preimages = diophantine._preimages
+        points = record_calls(diophantine, "_family1_point")
+        calls = record_calls(diophantine, "_preimages")
+        for (a, b, box), yielded in zip(((-34, -25, 40), (0, -31, 40), (3, 0, 6)), (4, 22, 8)):
             for bound in (12, MAX_PARAM_BOUND):
-                calls = 0
+                calls.clear()
                 total = coverage_check(a, b, box, bound).total
-                assert 0 < calls <= 16 * total, (a, b, bound, calls)
-                counts.append(calls)
-            assert counts[0] == counts[1], (a, b, counts)
+                count = sum(len(list(preimages(*args))) for args, _ in calls)
+                assert (len(points), count) == (0, yielded), (a, b, bound)
+                assert count <= 16 * total, (a, b, bound, total)
 
     def test_opposite_base_records_the_smaller_scale(self):
         # over (4, -4) both w = -1 and w = 1 reach (4, 0, -4); -1 comes first

@@ -402,6 +402,13 @@ class TestTensorLine:
             assert t1 * t1 - 4 * t2 == c1 * c1 - 4 * c2
             assert rank2._twist(t1, t2, k) == rank2._twist(c1, c2, j + k)
 
+    def test_twist_shifts_a_splits_twists_on_a_grid(self):
+        # O(x) + O(y) tensored with O(k) is O(x + k) + O(y + k).  Both sides
+        # have degree <= 2 in x, y and k, so three points per axis prove it for
+        # all integers (Alon 1999, Lemma 2.1); the fourth point is a spare.
+        for x, y, k in itertools.product(range(4), repeat=3):
+            assert rank2._twist(x + y, x * y, k) == (x + y + 2 * k, (x + k) * (y + k))
+
     def test_alpha_preserved_under_normalization(self):
         assert split_rank2(3, -1).alpha == 1
         assert tensor_line(split_rank2(3, -1), -1) == split_rank2(2, -2)
@@ -595,20 +602,12 @@ def test_doubled_box_witnesses_evaluate_to_their_classes():
         assert oracle.evaluate_witness(r.witness) == (cls, r.cost), r.witness
 
 
-def test_twist_loops_run_once_per_orbit_level(monkeypatch):
+def test_twist_loops_run_once_per_orbit_level(record_calls):
     # Only the cheapest members of a twist orbit run the twist loop: a dearer
     # member's offers reach the same classes one step dearer.  Every search
     # state is reached here, so the report gives the count: 11,887 calls,
     # against 26,722 with a twist loop for every state.
-    calls = 0
-    twist = rank2._twist
-
-    def counting_twist(*args):
-        nonlocal calls
-        calls += 1
-        return twist(*args)
-
-    monkeypatch.setattr(rank2, "_twist", counting_twist)
+    calls = record_calls(rank2, "_twist")
     s1min, s1max = -24, 0
     report = generation_closure(-24, 0, 32, s1min, s1max, 32)
 
@@ -618,7 +617,7 @@ def test_twist_loops_run_once_per_orbit_level(monkeypatch):
     least = {}
     for r in report.reached:
         least[orbit(r)] = min(least.get(orbit(r), r.cost), r.cost)
-    assert calls == sum(
+    assert len(calls) == sum(
         (s1max - r.cls.c1) // 2 + (r.cls.c1 - s1min) // 2 + 1
         for r in report.reached
         if r.cost == least[orbit(r)]

@@ -9,7 +9,6 @@ import pytest
 
 import oracle
 from bundle_arith import rank3
-from bundle_arith.cohomology import feasible_c3_lattice
 from bundle_arith.errors import DomainError
 from bundle_arith.rank3 import (
     _MR_BASES,
@@ -214,15 +213,9 @@ class TestMakeGroup:
         with pytest.raises(TypeError):
             GroupDescriptorV0(3, 0, 1)
 
-    def test_spacing_derived_once_per_group(self, monkeypatch):
+    def test_spacing_derived_once_per_group(self, record_calls):
         # the descriptor derives d; make_group checks its scan against it
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return feasible_c3_lattice(*args)
-
-        monkeypatch.setattr(rank3, "feasible_c3_lattice", counted)
+        calls = record_calls(rank3, "feasible_c3_lattice")
         bases = ((3, 0, 24), (0, 0, 8), (1, 0, 12), (0, 3, 4), (2, 0, 24))
         for base_c1, base_c2, scan in bases:
             assert make_group(base_c1, base_c2, scan).c3_generator <= scan
@@ -308,24 +301,16 @@ class TestNonSplitMultiples:
         with pytest.raises(DomainError):
             prime_witness(g, g.identity)
 
-    def test_witness_primes_below_trial_bound_squared_skip_miller_rabin(self, monkeypatch):
+    def test_witness_primes_below_trial_bound_squared_skip_miller_rabin(self, record_calls):
         # every candidate below _TRIAL_BOUND^2 is decided by the gcd alone
-        calls = 0
-        miller_rabin = rank3._miller_rabin
-
-        def counting_miller_rabin(n):
-            nonlocal calls
-            calls += 1
-            return miller_rabin(n)
-
-        monkeypatch.setattr(rank3, "_miller_rabin", counting_miller_rabin)
+        calls = record_calls(rank3, "_miller_rabin")
         g = make_group(3, 0, 24)
         assert prime_witness(g, split_rank3(2, -1, 2)) == (13, True)
         assert prime_witness(g, Rank3BundleClass(3, 0, 10**5)) == (300007, True)
         assert prime_witness(g, Rank3BundleClass(3, 0, -(10**5))) == (300007, True)
-        assert calls == 0
+        assert len(calls) == 0
         assert prime_witness(g, Rank3BundleClass(3, 0, 4 * 10**6)) == (12000017, True)
-        assert calls >= 1
+        assert len(calls) >= 1
 
     def test_finite_index_whenever_c3_nonzero(self):
         rng = random.Random(41)
